@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._quad import adaptive_interval
+from ._quad import QuadratureError, adaptive_interval
 from .admissibility import (
     CertificateViolation,
     InputOperator,
@@ -344,7 +344,7 @@ def weak_sqfct_estimate(
     for x, y, label in pairs:
         try:
             val = output_map_l1(A, y, x, rel_tol=rel_tol)
-        except Exception:
+        except QuadratureError:
             skipped += 1
             continue
         if val > best:
@@ -688,8 +688,7 @@ def shift_demo(profile, phi: YoungFunction) -> dict:
     if isinstance(profile, SampledFunction):
         if profile.tail_rate is not None or profile.edges[-1] > 1.0 + 1e-12:
             raise CertifyError("sampled shift profiles live on (0, 1)")
-        widths = np.diff(profile.edges)
-        l1 = float(np.dot(np.abs(profile.values), widths))
+        l1 = float(np.dot(np.abs(profile.values), profile.widths))
         mod = modular(phi, profile, 1.0)
         detail = {
             "modular": mod,

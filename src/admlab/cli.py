@@ -138,21 +138,35 @@ def _cvec(vs) -> np.ndarray:
     return np.array([_complex(v) for v in vs], dtype=complex)
 
 
-def _generator(scn: dict, command: str, modes: int | None) -> DiagonalGenerator:
-    obj = dict(_need(scn, "generator", command))
-    if modes is not None:
-        if obj.get("kind") == "ray":
-            obj["count"] = modes
-        else:
-            eig = obj.get("eigenvalues", [])
-            if modes > len(eig):
-                raise ConfigError(
-                    f"--modes {modes} exceeds the {len(eig)} listed eigenvalues"
-                )
-            obj["eigenvalues"] = eig[:modes]
-            if "weights" in obj:
-                obj["weights"] = obj["weights"][:modes]
-    return generator_from_json(obj)
+def _generator(scn: dict, command: str) -> DiagonalGenerator:
+    return generator_from_json(_need(scn, "generator", command))
+
+
+def _truncate_modes(scn: dict, modes: int) -> dict:
+    """The scenario with ``modes`` modes: a ray gets that count, and every
+    per-mode list (eigenvalues, weights, matrix rows, x0, initial_state) is
+    cut to its first ``modes`` entries."""
+    gen = dict(scn["generator"])
+    if gen.get("kind") == "ray":
+        gen["count"] = modes
+    else:
+        eig = gen.get("eigenvalues", [])
+        if modes > len(eig):
+            raise ConfigError(f"--modes {modes} exceeds the {len(eig)} listed eigenvalues")
+        gen["eigenvalues"] = eig[:modes]
+    if "weights" in gen:
+        gen["weights"] = gen["weights"][:modes]
+    out = dict(scn, generator=gen)
+    if "input_operator" in scn:
+        op = dict(scn["input_operator"])
+        for key in ("matrix", "x0"):
+            if key in op:
+                op[key] = op[key][:modes]
+        out["input_operator"] = op
+    for key in ("x0", "initial_state"):
+        if key in scn:
+            out[key] = scn[key][:modes]
+    return out
 
 
 def _input_operator(scn: dict, A: DiagonalGenerator, command: str) -> InputOperator:
@@ -305,7 +319,7 @@ def _cmd_orlicz_norm(scn, seed, modes):
 
 
 def _cmd_simulate(scn, seed, modes):
-    A = _generator(scn, "simulate", modes)
+    A = _generator(scn, "simulate")
     B = _input_operator(scn, A, "simulate")
     u = _signal(scn, "simulate", seed, B.n_inputs(A))
     horizon = float(scn.get("horizon", u.horizon))
@@ -340,7 +354,7 @@ def _cmd_simulate(scn, seed, modes):
 
 
 def _cmd_adm(scn, seed, modes):
-    A = _generator(scn, "adm", modes)
+    A = _generator(scn, "adm")
     B = _input_operator(scn, A, "adm")
     horizons = sorted(float(t) for t in _need(scn, "horizons", "adm"))
     n_pieces = int(scn.get("n_pieces", 16))
@@ -374,7 +388,7 @@ def _cmd_adm(scn, seed, modes):
 
 
 def _cmd_weiss(scn, seed, modes):
-    A = _generator(scn, "weiss", modes)
+    A = _generator(scn, "weiss")
     B = _input_operator(scn, A, "weiss")
     p = scn.get("p", "inf")
     p = math.inf if p == "inf" else float(p)
@@ -390,7 +404,7 @@ def _cmd_weiss(scn, seed, modes):
 
 
 def _cmd_sqfct(scn, seed, modes):
-    A = _generator(scn, "sqfct", modes)
+    A = _generator(scn, "sqfct")
     rep = sqfct_constants(A)
     rows = [_repr_row(float(n), v) for n, v in enumerate(rep.per_mode)]
     results = rep.to_json()
@@ -429,7 +443,7 @@ def _cmd_counterexample(scn, seed, modes):
 
 
 def _cmd_iss(scn, seed, modes):
-    A = _generator(scn, "iss", modes)
+    A = _generator(scn, "iss")
     B = _input_operator(scn, A, "iss")
     res = iss_certificate(
         A,
@@ -447,7 +461,7 @@ def _cmd_iss(scn, seed, modes):
 
 
 def _cmd_iiss(scn, seed, modes):
-    A = _generator(scn, "iiss", modes)
+    A = _generator(scn, "iiss")
     x0 = _cvec(_need(scn, "x0", "iiss"))
     if len(x0) != A.n_modes:
         raise ConfigError(f"x0 has {len(x0)} entries for {A.n_modes} modes")
@@ -498,6 +512,9 @@ def _cmd_probe(scn, seed, modes):
     )
     return res, jobs, [line]
 
+
+# Commands whose --modes truncates the scenario's generator and per-mode data.
+_PER_MODE = {"simulate", "adm", "weiss", "sqfct", "iss", "iiss"}
 
 _HANDLERS = {
     "orlicz-norm": _cmd_orlicz_norm,
@@ -552,6 +569,8 @@ def run(command: str, scenario_path: str, out=None, seed=None, modes=None,
         )
     if modes is not None and modes < 1:
         raise ConfigError("--modes must be a positive integer")
+    if modes is not None and "generator" in scn and command in _PER_MODE:
+        scn = _truncate_modes(scn, modes)
     outdir = Path(out or scn.get("out") or os.environ.get("ADMLAB_OUT") or "admlab-out")
     outdir.mkdir(parents=True, exist_ok=True)
     try:

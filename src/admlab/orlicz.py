@@ -23,12 +23,17 @@ substitution ``x -> Phi~(x**2)`` whose density is ``2x * phi~(x**2)``.
 
 The Luxemburg norm of a sampled profile ``u`` is
 
-    ``||u|| = inf{ k > 0 : integral Phi(|u(s)|/k) ds <= 1 }``,
+    ``||u|| = inf{ k > 0 : integral Phi(|u(s)|/k) ds <= 1 }``.
 
-computed by bracketing and bisection on ``k``; the modular is exact for
-piecewise-constant profiles and in closed form for exponential tails via
+The modular is exact for piecewise-constant profiles and in closed form for
+exponential tails via
 
     ``integral_T^oo Phi(a e^{-rho(s-T)}/k) ds = (1/rho) integral_0^{a/k} Phi(v)/v dv``.
+
+A safeguarded Newton iteration in ``1/k`` reaches the norm in a handful of
+modular passes (two for a pure power ``Phi``, whose first log-log step is the
+closed form).  The returned ``k`` is certified: ``modular(k) <= 1`` and
+``modular(k (1 - rel_tol/4)) > 1``.
 """
 
 from __future__ import annotations
@@ -142,11 +147,18 @@ class YoungFunction:
         self._bx = bx
         self._is_pow = np.array([s.kind == "power" for s in segs])
         self._c = np.array([s.c for s in segs], dtype=float)
-        self._r = np.array([s.r for s in segs], dtype=float)
+        self._r = np.where(self._is_pow, [s.r for s in segs], 0.0)
         cum = np.zeros(len(segs), dtype=float)
         for i in range(len(segs) - 1):
             cum[i + 1] = cum[i] + _segment_integral(segs[i], bx[i], bx[i + 1])
         self._cum = cum
+        # On segment i, Phi(x) = offset_i + coef_i * x**expo_i and
+        # phi(x) = c_i * x**r_i (r_i = 0 on constant segments).
+        self._expo = self._r + 1.0
+        self._coef = self._c / self._expo
+        with np.errstate(over="ignore"):
+            self._offset = cum - self._coef * bx**self._expo
+        self._inner = bx[1:]
 
     @property
     def segments(self) -> tuple[Segment, ...]:
@@ -163,14 +175,8 @@ class YoungFunction:
         xa = np.abs(np.asarray(x, dtype=float))
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa)
-        idx = np.searchsorted(self._bx, xa, side="right") - 1
-        idx = np.clip(idx, 0, len(self._segments) - 1)
-        a = self._bx[idx]
-        c = self._c[idx]
-        r = self._r[idx]
         with np.errstate(over="ignore"):
-            pow_part = c / (r + 1.0) * (xa ** (r + 1.0) - a ** (r + 1.0))
-            out = self._cum[idx] + np.where(self._is_pow[idx], pow_part, c * (xa - a))
+            out = self._value(xa, self._index(xa))
         return float(out[0]) if scalar else out
 
     def density(self, x):
@@ -178,13 +184,21 @@ class YoungFunction:
         xa = np.abs(np.asarray(x, dtype=float))
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa)
-        idx = np.searchsorted(self._bx, xa, side="right") - 1
-        idx = np.clip(idx, 0, len(self._segments) - 1)
         with np.errstate(over="ignore"):
-            out = np.where(
-                self._is_pow[idx], self._c[idx] * xa ** self._r[idx], self._c[idx]
-            )
+            out = self._density(xa, self._index(xa))
         return float(out[0]) if scalar else out
+
+    def _index(self, xa):
+        """Segment index of each entry of ``xa >= 0`` (0 for a single segment)."""
+        if len(self._segments) == 1:
+            return 0
+        return np.searchsorted(self._inner, xa, side="right")
+
+    def _value(self, xa, idx):
+        return self._offset[idx] + self._coef[idx] * xa ** self._expo[idx]
+
+    def _density(self, xa, idx):
+        return self._c[idx] * xa ** self._r[idx]
 
     def inverse(self, y):
         """Generalized inverse of Phi (right-continuous); inverse(0) = 0."""
@@ -235,7 +249,7 @@ class YoungFunction:
                 # cum[0] = 0 and the antiderivative vanishes at 0: no log term.
                 continue
             total += const_a * (math.log(hi) - math.log(lo))
-        return total
+        return float(total)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         parts = ", ".join(
@@ -347,7 +361,8 @@ class SampledFunction:
             raise OrliczError("need K+1 edges for K piece values")
         if len(values) == 0:
             raise OrliczError("empty profile")
-        if np.any(np.diff(edges) <= 0.0):
+        widths = np.diff(edges)
+        if np.any(widths <= 0.0):
             raise OrliczError("grid must be strictly increasing")
         if edges[0] < 0.0:
             raise OrliczError("grid must start at a nonnegative time")
@@ -359,9 +374,10 @@ class SampledFunction:
                 raise OrliczError("tail rate must be positive and finite")
         self.edges = edges
         self.values = values
+        self.widths = widths
         self.tail_rate = tail_rate
-        self.edges.setflags(write=False)
-        self.values.setflags(write=False)
+        for arr in (self.edges, self.values, self.widths):
+            arr.setflags(write=False)
 
     @classmethod
     def from_callable(
@@ -379,7 +395,7 @@ class SampledFunction:
         return float(np.max(self.values))
 
     def l1(self) -> float:
-        core = float(np.dot(self.values, np.diff(self.edges)))
+        core = float(np.dot(self.values, self.widths))
         if self.tail_rate is not None:
             core += float(self.values[-1]) / self.tail_rate
         return core
@@ -422,63 +438,114 @@ class SampledFunction:
         return cls(edges, values, tail_rate)
 
 
-def modular(phi: YoungFunction, u: SampledFunction, k: float) -> float:
-    """integral Phi(|u(s)|/k) ds, exact (pieces + closed-form tail)."""
+def modular(phi: YoungFunction, u: SampledFunction, k: float, slope: bool = False):
+    """integral Phi(|u(s)|/k) ds, exact (pieces + closed-form tail).
+
+    With ``slope=True`` the same pass also returns the derivative in
+    ``s = 1/k``: with ``Psi(y) = integral_0^y Phi(v)/v dv`` and tail
+    amplitude ``a``,
+
+        ``m(s)  = sum_i w_i Phi(s v_i) + Psi(a s)/rho``,
+        ``m'(s) = sum_i w_i v_i phi(s v_i) + Phi(a s)/(s rho)``,
+
+    with ``phi`` the right density, so ``m'`` is a subgradient at kinks; the
+    result is then the pair ``(m, m')``.
+    """
     if k <= 0.0:
         raise OrliczError("modular scale k must be positive")
-    with np.errstate(over="ignore"):
-        core = float(np.dot(phi(u.values / k), np.diff(u.edges)))
-    if u.tail_rate is not None and u.values[-1] > 0.0:
-        core += phi.phi_over_x_integral(float(u.values[-1]) / k) / u.tail_rate
-    return core
+    x = u.values / k
+    idx = phi._index(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(np.dot(phi._value(x, idx), u.widths))
+        dm = float(np.dot(phi._density(x, idx) * u.values, u.widths)) if slope else 0.0
+        if u.tail_rate is not None and u.values[-1] > 0.0:
+            a = float(u.values[-1]) / k
+            m += phi.phi_over_x_integral(a) / u.tail_rate
+            if slope:
+                dm += float(phi._value(a, phi._index(a))) * k / u.tail_rate
+    return (m, dm) if slope else m
+
+
+_MAX_STEPS = 200
+_NEWTON_STEPS = 20
 
 
 def luxemburg_norm(
     phi: YoungFunction, u: SampledFunction, rel_tol: float = 1e-10
 ) -> float:
-    """inf{k > 0 : integral Phi(|u|/k) <= 1} by bracketing + bisection.
+    """inf{k > 0 : integral Phi(|u|/k) <= 1}, certified to ``rel_tol``.
 
-    The modular is nonincreasing and continuous in k, so a doubling/halving
-    bracket around level 1 followed by bisection converges linearly; the
-    returned endpoint keeps modular(k) <= 1.  Returns 0 for u == 0.
+    The returned ``k`` has ``modular(k) <= 1`` and
+    ``modular(k * (1 - rel_tol/4)) > 1``.  A safeguarded Newton iteration in
+    ``s = 1/k``, started at ``k = sup|u|``, keeps a bracket
+    ``modular(k_lo) > 1 >= modular(k_hi)`` from every pass of
+    :func:`modular`.  Its log-log step (see :func:`_newton_step`) aims a
+    little below level 1, at ``1 - rel_tol/16``; for a pure power the first
+    step is the closed form ``sup|u| * (modular(sup|u|)/level)**(1/p)``.
+
+    The modular is convex in ``s``, so a pass at ``k`` with value ``m <= 1``
+    and slope ``m'`` bounds ``modular(k (1 - rel_tol/4))`` from below by
+    ``m + m' ds``; once that bound exceeds 1 (by a ``rel_tol/8`` margin for
+    rounding) ``k`` is returned without a further pass.  A pure power thus
+    takes 2 passes and a piecewise ``Phi`` about 4.  Steps stay
+    ``rel_tol/4`` inside the bracket, so a pass can also close it; a step
+    that leaves it, and every step after the first ``_NEWTON_STEPS``, is
+    replaced by bisection (doubling or halving while the bracket is open).
+    Returns 0 for u == 0 and raises :class:`BracketError` when the modular
+    never crosses level 1.
     """
     vmax = u.sup_norm()
     if vmax == 0.0:
         return 0.0
-    measure = float(u.edges[-1] - u.edges[0])
-    if u.tail_rate is not None:
-        measure += 1.0 / u.tail_rate
-    k = vmax * max(1.0, measure)
-    m = modular(phi, u, k)
-    if m > 1.0:
-        lo = k
-        for _ in range(200):
-            k *= 2.0
-            if modular(phi, u, k) <= 1.0:
-                break
-            lo = k
+    gap = 0.25 * rel_tol
+    level = 1.0 - 0.25 * gap
+    k_lo, k_hi = 0.0, math.inf
+    k = vmax
+    for i in range(_MAX_STEPS):
+        m, dm = modular(phi, u, k, slope=True)
+        if m > 1.0:
+            k_lo = k
         else:
-            raise BracketError("modular never crossed 1 within 200 doublings")
-        hi = k
-    else:
-        hi = k
-        for _ in range(200):
-            k *= 0.5
-            if modular(phi, u, k) > 1.0:
-                break
-            hi = k
-        else:
-            raise BracketError("modular never crossed 1 within 200 halvings")
-        lo = k
-    for _ in range(200):
-        if hi - lo <= 0.25 * rel_tol * hi:
+            k_hi = k
+            if dm < math.inf and m + dm * gap / (k * (1.0 - gap)) > 1.0 + 0.5 * gap:
+                return k
+        if k_hi - k_lo <= gap * k_hi < math.inf:
+            return k_hi
+        step = _newton_step(k, m, dm, level) if i < _NEWTON_STEPS else None
+        if step is not None:
+            step = min(max(step, k_lo / (1.0 - gap)), k_hi * (1.0 - gap))
+        if step is None or not k_lo < step < k_hi:
+            if k_hi == math.inf:
+                step = 2.0 * k_lo
+            elif k_lo == 0.0:
+                step = 0.5 * k_hi
+            else:
+                step = 0.5 * (k_lo + k_hi)
+        if not 0.0 < step < math.inf:
             break
-        mid = 0.5 * (lo + hi)
-        if modular(phi, u, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        k = step
+    if k_lo > 0.0 and k_hi < math.inf:
+        return k_hi
+    raise BracketError(
+        f"modular never crossed 1 within {_MAX_STEPS} steps "
+        f"(bracket [{k_lo:g}, {k_hi:g}])"
+    )
+
+
+def _newton_step(k: float, m: float, dm: float, level: float) -> float | None:
+    """Next k towards ``modular = level`` from the modular ``m`` at ``k`` and
+    its slope ``dm`` in ``s = 1/k``.
+
+    The step is Newton's on ``log m`` against ``log s``:
+    ``k (m/level)**(1/e)`` with elasticity ``e = s m'/m >= 1``.  It is exact
+    for a pure power, for which ``m`` is proportional to ``s**p``, and for a
+    piecewise Phi it converges quadratically once near the root, where the
+    plain step in ``s`` crawls from far away.  Returns None when ``m`` or
+    ``m'`` is zero or not finite.
+    """
+    if not (0.0 < m < math.inf and 0.0 < dm < math.inf):
+        return None
+    return k * (m / level) ** (k * m / dm)
 
 
 def _piece_descriptor(u: SampledFunction, a: float) -> tuple[float, float]:
@@ -550,10 +617,9 @@ def dvp_construct(
             f"(cap {_MAX_LEVELS}); sample the profile with a coarser floor"
         )
     js = np.arange(0, levels, dtype=float)
-    widths = np.diff(f.edges)
     order = np.argsort(f.values)
     vals_sorted = f.values[order]
-    mass_sorted = (f.values * widths)[order]
+    mass_sorted = (f.values * f.widths)[order]
     suffix = np.concatenate([np.cumsum(mass_sorted[::-1])[::-1], [0.0]])
     pos = np.searchsorted(vals_sorted, js, side="right")
     a_j = suffix[pos]

@@ -93,6 +93,25 @@ def test_weak_sqfct_estimate():
     assert out["estimate"] >= math.sqrt(2.0) * (1.0 - 1e-8)
 
 
+def test_weak_sqfct_estimate_skips_only_quadrature_failures(monkeypatch):
+    import admlab.certify as certify
+    from admlab._quad import QuadratureError
+
+    def no_convergence(*args, **kwargs):
+        raise QuadratureError("no convergence")
+
+    monkeypatch.setattr(certify, "output_map_l1", no_convergence)
+    out = weak_sqfct_estimate(DiagonalGenerator([-1.0]), n_samples=3)
+    assert out["skipped"] == out["n_pairs"] == 4
+
+    def defect(*args, **kwargs):
+        raise ValueError("a defect, not a quadrature failure")
+
+    monkeypatch.setattr(certify, "output_map_l1", defect)
+    with pytest.raises(ValueError, match="a defect"):
+        weak_sqfct_estimate(DiagonalGenerator([-1.0]), n_samples=3)
+
+
 def test_counterexample_matches_dense_evaluation():
     M = 48
     run = counterexample_run(0.0, M)

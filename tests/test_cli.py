@@ -142,6 +142,79 @@ def test_counterexample_outputs_and_modes_flag(tmp_path):
     assert len((small / "divergence.csv").read_text().splitlines()) == 8
 
 
+EXPLICIT_4 = [[-1.0, 0.0], [-2.0, 0.5], [-2.0, -0.5], [-5.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "command, scenario",
+    [
+        ("simulate", {
+            "generator": {"eigenvalues": EXPLICIT_4, "weights": [1.0, 0.5, 0.5, 2.0]},
+            "input_operator": {
+                "kind": "columns",
+                "matrix": [[1.0, 0.0], [0.5, 0.2], [0.5, -0.2], [0.25, 1.0]],
+            },
+            "signal": {"kind": "random", "n_pieces": 4, "horizon": 1.0},
+            "initial_state": [1.0, [0.0, 0.5], [0.0, -0.5], 0.3],
+            "n_time_samples": 5,
+            "seed": 3,
+        }),
+        ("adm", {
+            "generator": {"eigenvalues": EXPLICIT_4},
+            "input_operator": {"kind": "aminus_x0", "x0": [0.6, 0.48, 0.48, 0.64]},
+            "horizons": [0.5, 2.0],
+            "seed": 5,
+        }),
+        ("iiss", {
+            "generator": {"eigenvalues": EXPLICIT_4},
+            "x0": [1.0, 0.5, [0.0, 0.5], 0.25],
+            "young": {"power": 2.0},
+            "trials": 4,
+            "seed": 7,
+        }),
+        ("adm", {
+            "generator": {"kind": "ray", "base": -1.0, "exponent": 1.0, "angle": 0.3,
+                          "count": 4, "weights": [1.0, 0.5, 2.0, 4.0]},
+            "input_operator": {"kind": "aminus_x0", "x0": [0.6, 0.48, 0.48, 0.64]},
+            "horizons": [0.5, 2.0],
+            "seed": 5,
+        }),
+    ],
+)
+def test_modes_flag_truncates_every_per_mode_list(tmp_path, command, scenario):
+    full = _write(tmp_path, "full.json", scenario)
+    cut = dict(scenario, generator=dict(scenario["generator"]))
+    if cut["generator"].get("kind") == "ray":
+        cut["generator"]["count"] = 2
+    else:
+        cut["generator"]["eigenvalues"] = EXPLICIT_4[:2]
+    if "weights" in cut["generator"]:
+        cut["generator"]["weights"] = scenario["generator"]["weights"][:2]
+    if "input_operator" in scenario:
+        op = dict(scenario["input_operator"])
+        key = "matrix" if op["kind"] == "columns" else "x0"
+        op[key] = op[key][:2]
+        cut["input_operator"] = op
+    for key in ("x0", "initial_state"):
+        if key in scenario:
+            cut[key] = scenario[key][:2]
+    by_hand = _write(tmp_path, "cut.json", cut)
+    args = [command, "--quiet", "--out"]
+    assert main(args + [str(tmp_path / "flag"), "--scenario", full, "--modes", "2"]) == 0
+    assert main(args + [str(tmp_path / "hand"), "--scenario", by_hand]) == 0
+    reports = [
+        json.loads((tmp_path / d / f"{command}.report.json").read_text())
+        for d in ("flag", "hand")
+    ]
+    assert reports[0]["results"] == reports[1]["results"]
+
+
+def test_modes_flag_beyond_the_listed_eigenvalues_exits_1(tmp_path, capsys):
+    scn = _write(tmp_path, "adm.json", ADM_SCENARIO)
+    assert main(["adm", "--scenario", scn, "--modes", "4"]) == 1
+    assert "exceeds the 3 listed eigenvalues" in capsys.readouterr().err
+
+
 def test_zero_class_csv_monotone_t(tmp_path):
     scn = _write(tmp_path, "adm.json", {
         "generator": {"eigenvalues": [[-1.0, 0.0], [-2.0, 0.0], [-4.0, 0.0]]},

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from admlab import orlicz
 from admlab.orlicz import (
     BracketError,
     OrliczError,
@@ -190,6 +191,146 @@ def test_bracket_error_for_degenerate_phi():
     f = SampledFunction([0.0, 1.0], [1.0])
     with pytest.raises(BracketError):
         luxemburg_norm(flat, f)
+    # two zero constants, a tail, and a profile so small that halving k
+    # underflows before the iteration budget runs out
+    flat2 = YoungFunction([Segment(0.0, "const", 0.0), Segment(1.0, "const", 0.0)])
+    for g in (
+        SampledFunction([0.0, 1.0, 2.0], [1.0, 3.0], tail_rate=0.5),
+        SampledFunction([0.0, 1.0], [1e-300]),
+    ):
+        for young in (flat, flat2):
+            with pytest.raises(BracketError):
+                luxemburg_norm(young, g)
+
+
+# Young functions for the Luxemburg certificate tests: a pure power, the
+# power/constant/power function of the benchmark, two powers, and a zero
+# plateau before a quadratic.
+LUX_PHIS = {
+    "power": power_young(3.0, 0.5),
+    "segments": YoungFunction(
+        [Segment(0.0, "power", 2.0, 1.0), Segment(1.0, "const", 3.0, 0.0),
+         Segment(2.0, "power", 1.5, 1.0)]
+    ),
+    "two-powers": YoungFunction(
+        [Segment(0.0, "power", 1.0, 1.0), Segment(2.0, "power", 0.75, 2.0)]
+    ),
+    "plateau": YoungFunction(
+        [Segment(0.0, "const", 0.0, 0.0), Segment(1.0, "power", 2.0, 1.0)]
+    ),
+}
+
+
+def _certified(phi, f, k, rel_tol):
+    return modular(phi, f, k) <= 1.0 < modular(phi, f, k * (1.0 - 0.25 * rel_tol))
+
+
+@pytest.mark.parametrize("name", sorted(LUX_PHIS))
+def test_luxemburg_two_sided_rel_tol_bracket(name):
+    # The returned k has modular <= 1, and k (1 - rel_tol/4) has modular > 1.
+    phi = LUX_PHIS[name]
+    rng = np.random.default_rng(17)
+    for rel_tol in (1e-4, 1e-8, 1e-10, 1e-12):
+        for case in range(24):
+            f = _staircase(rng, max_pieces=40, tail=case % 2 == 1)
+            if not np.any(f.values > 0.0):
+                continue
+            k = luxemburg_norm(phi, f, rel_tol=rel_tol)
+            assert _certified(phi, f, k, rel_tol), (rel_tol, case)
+
+
+def test_power_closed_form_against_mpmath():
+    # ||f|| for Phi = c x^p is (c (sum w v^p + a^p/(p rho)))^{1/p}; evaluated
+    # at 30 digits from the exact binary inputs.  The returned k lies in the
+    # certified bracket [||f||, ||f|| / (1 - rel_tol/4)], up to rounding.
+    mp = pytest.importorskip("mpmath")
+    rel_tol = 1e-13
+    rng = np.random.default_rng(29)
+    for p, c in ((1.5, 1.0), (2.0, 0.5), (3.0, 0.5), (4.5, 2.0)):
+        phi = power_young(p, c)
+        for case in range(12):
+            f = _staircase(rng, max_pieces=30, tail=case % 2 == 0)
+            if not np.any(f.values > 0.0):
+                continue
+            with mp.workdps(30):
+                pp = mp.mpf(p)
+                mass = mp.fsum(
+                    mp.mpf(float(v)) ** pp * (mp.mpf(float(b)) - mp.mpf(float(a)))
+                    for v, a, b in zip(f.values, f.edges[:-1], f.edges[1:])
+                )
+                if f.tail_rate is not None:
+                    mass += mp.mpf(float(f.values[-1])) ** pp / (pp * mp.mpf(f.tail_rate))
+                want = (mp.mpf(c) * mass) ** (1 / pp)
+                k = mp.mpf(luxemburg_norm(phi, f, rel_tol=rel_tol))
+                assert want * (1 - 1e-14) <= k <= want * (1 + 0.25 * rel_tol + 1e-14), (p, case)
+
+
+def test_luxemburg_extremes():
+    rng = np.random.default_rng(31)
+    for name, phi in LUX_PHIS.items():
+        # values near 1e+-150: the norm scales exactly and stays certified
+        base = _staircase(rng, max_pieces=12, tail=True)
+        k = luxemburg_norm(phi, base)
+        for scale in (1e-150, 1e150):
+            big = base.scaled(scale)
+            ks = luxemburg_norm(phi, big)
+            assert ks == pytest.approx(scale * k, rel=1e-9), name
+            assert _certified(phi, big, ks, 1e-10), (name, scale)
+        # a single piece: width * Phi(v/k) = 1, so k = v / Phi^{-1}(1/width)
+        one = SampledFunction([0.5, 2.5], [1.7])
+        want = 1.7 / phi.inverse(0.5)
+        assert luxemburg_norm(phi, one) == pytest.approx(want, rel=1e-10), name
+        # a zero tail amplitude adds nothing to the modular
+        edges, vals = [0.0, 1.0, 2.0], [2.0, 0.0]
+        tailed = SampledFunction(edges, vals, tail_rate=0.7)
+        plain = SampledFunction(edges, vals)
+        assert modular(phi, tailed, 1.3) == modular(phi, plain, 1.3)
+        kt = luxemburg_norm(phi, tailed)
+        assert kt == pytest.approx(luxemburg_norm(phi, plain), rel=1e-10), name
+        assert _certified(phi, plain, kt, 1e-10), name
+
+
+def _count_passes(monkeypatch):
+    """Count the modular passes over the profile, with or without slope."""
+    calls = {"passes": 0}
+    real = orlicz.modular
+
+    def counted(*args, **kwargs):
+        calls["passes"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orlicz, "modular", counted)
+    return calls
+
+
+def test_pure_power_norm_takes_two_modular_passes(monkeypatch):
+    # One pass at sup|u|, whose log-log step is the closed form, and one at
+    # the closed form, whose slope certifies it.
+    calls = _count_passes(monkeypatch)
+    rng = np.random.default_rng(37)
+    for p in (1.2, 2.0, 3.0, 7.0):
+        phi = power_young(p, 0.5)
+        for case in range(40):
+            f = _staircase(rng, max_pieces=256, tail=case % 2 == 0)
+            if not np.any(f.values > 0.0):
+                continue
+            calls["passes"] = 0
+            luxemburg_norm(phi, f)
+            assert calls["passes"] == 2, (p, case)
+
+
+def test_piecewise_norm_takes_a_handful_of_passes(monkeypatch):
+    # Bisection took about 38 passes per norm; Newton needs at most 8 here.
+    calls = _count_passes(monkeypatch)
+    rng = np.random.default_rng(41)
+    phi = LUX_PHIS["segments"]
+    for case in range(60):
+        f = _staircase(rng, max_pieces=256, tail=case % 2 == 0)
+        if not np.any(f.values > 0.0):
+            continue
+        calls["passes"] = 0
+        luxemburg_norm(phi, f)
+        assert calls["passes"] <= 8, case
 
 
 # ---------------------------------------------------------------------------
