@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._frozen import frozen
 from ._quad import QuadratureError, adaptive_interval
 from .orlicz import (
     OrliczError,
@@ -56,7 +57,6 @@ from .orlicz import (
 )
 from .signals import (
     PiecewiseSignal,
-    SignalError,
     _expdiff_matrix,
     mode_integrals,
     random_signal,
@@ -85,7 +85,6 @@ __all__ = [
     "orlicz_adm_bound",
     "infinite_time_sup",
     "zero_class_profile",
-    "reports_to_csv",
 ]
 
 _REPORT_SLACK = 1e-9
@@ -131,9 +130,7 @@ class InputOperator:
         elif data is not None:
             raise AdmissibilityError("the full-diagonal form carries no data")
         self.kind = kind
-        self.data = data
-        if data is not None:
-            self.data.setflags(write=False)
+        self.data = None if data is None else frozen(data)
 
     @classmethod
     def columns(cls, matrix) -> "InputOperator":
@@ -352,16 +349,6 @@ class AdmissibilityReport:
         return out
 
 
-def reports_to_csv(path, reports: Sequence[AdmissibilityReport]) -> None:
-    """Flat plot table with columns (t, Z, lower, upper, route)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,Z,lower,upper,route\n")
-        for r in reports:
-            fh.write(
-                f"{r.t!r},{r.space},{r.lower!r},{r.upper!r},{r.route}\n"
-            )
-
-
 def _fac_column_constants(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
     """2 K2 ||f_j||_{L2(0,oo;X)} per column, f_j(s) = (-A)^{1/2} T(s) A^{-1} b_j."""
     lam = A.eigenvalues
@@ -382,6 +369,64 @@ def _fac_column_constants(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
 def _hinf_column_constants(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
     """||A_{-1}^{-1} b_j||_X / cos(sector angle) per column."""
     return B.preimage_norms(A) / math.cos(A.sector_angle)
+
+
+def _upper_routes(
+    A: DiagonalGenerator, B: InputOperator, t: float
+) -> tuple[dict, np.ndarray]:
+    """Upper routes for ||Phi_t|| at a horizon t (finite or ``math.inf``).
+
+    Returns every route with its value or the reason it does not apply, and
+    the best per-column upper bound.  Factorization and H-infty multiplier are
+    horizon-uniform (per-column constants add over the channels); the kernel
+    route ``integral_0^t ||T(s)B|| ds`` exists for bounded columns only.
+    """
+    hinf = _hinf_column_constants(A, B)  # checks the alignment first
+    fac = _fac_column_constants(A, B)
+    per_column = np.minimum(fac, hinf)
+    if B.kind == "aminus_full":
+        uniform = ("no uniform constant across the full diagonal "
+                   "(per-column values reported)")
+        routes = {
+            "factorization": {"value": math.inf, "reason": uniform},
+            "hinf-multiplier": {"value": math.inf, "reason": uniform},
+            "kernel-L1": {
+                "value": math.inf,
+                "reason": "kernel norm ~ max_n |lambda_n| e^{Re lambda_n s} is not "
+                "integrable uniformly at s = 0",
+            },
+        }
+        return routes, per_column
+    routes = {
+        "factorization": {"value": float(np.sum(fac)), "reason": None},
+        "hinf-multiplier": {"value": float(np.sum(hinf)), "reason": None},
+    }
+    if B.kind == "aminus_x0":
+        routes["kernel-L1"] = {
+            "value": math.inf,
+            "reason": "||T(s) A_{-1} x0|| is not integrable at s = 0 for "
+            "x0 outside the domain of A",
+        }
+        return routes, per_column
+    hs = math.sqrt(float(A.weights @ np.sum(np.abs(B.data) ** 2, axis=1)))
+    delta = A.delta
+    routes["kernel-L1"] = {
+        "value": hs * (1.0 - math.exp(-delta * t)) / delta,
+        "reason": None,
+    }
+    kernel = (
+        np.sqrt(A.weights @ np.abs(B.data) ** 2) * (1.0 - math.exp(-delta * t)) / delta
+    )
+    return routes, np.minimum(per_column, kernel)
+
+
+def _best_route(routes: dict) -> tuple[str, float]:
+    """The finite route with the smallest value, or ("none", inf)."""
+    finite = {k: v["value"] for k, v in routes.items() if math.isfinite(v["value"])}
+    if not finite:
+        return "none", math.inf
+    route = min(finite, key=finite.get)
+    return route, finite[route]
 
 
 def _chain_lower(A: DiagonalGenerator, t: float) -> float:
@@ -466,63 +511,13 @@ def linfty_bounds(
     B.check_alignment(A)
     if not t > 0.0:
         raise AdmissibilityError("horizon must be positive")
-    routes: dict = {}
-    per_column: dict | None = None
-    if B.kind == "aminus_full":
-        fac = _fac_column_constants(A, B)
-        hinf = _hinf_column_constants(A, B)
-        per_column = {"upper": np.minimum(fac, hinf).tolist()}
-        routes["factorization"] = {
-            "value": math.inf,
-            "reason": "no uniform constant across the full diagonal "
-            "(per-column values reported)",
-        }
-        routes["hinf-multiplier"] = {
-            "value": math.inf,
-            "reason": "no uniform constant across the full diagonal "
-            "(per-column values reported)",
-        }
-        routes["kernel-L1"] = {
-            "value": math.inf,
-            "reason": "kernel norm ~ max_n |lambda_n| e^{Re lambda_n s} is not "
-            "integrable uniformly at s = 0",
-        }
-    else:
-        fac = _fac_column_constants(A, B)
-        hinf = _hinf_column_constants(A, B)
-        routes["factorization"] = {"value": float(np.sum(fac)), "reason": None}
-        routes["hinf-multiplier"] = {"value": float(np.sum(hinf)), "reason": None}
-        if B.kind == "columns":
-            hs = math.sqrt(float(A.weights @ np.sum(np.abs(B.data) ** 2, axis=1)))
-            delta = A.delta
-            routes["kernel-L1"] = {
-                "value": hs * (1.0 - math.exp(-delta * t)) / delta,
-                "reason": None,
-            }
-            per_column = {
-                "upper": np.minimum(
-                    np.minimum(fac, hinf),
-                    np.sqrt(A.weights @ np.abs(B.data) ** 2)
-                    * (1.0 - math.exp(-delta * t)) / delta,
-                ).tolist()
-            }
-        else:
-            routes["kernel-L1"] = {
-                "value": math.inf,
-                "reason": "||T(s) A_{-1} x0|| is not integrable at s = 0 for "
-                "x0 outside the domain of A",
-            }
-            per_column = {"upper": [float(np.minimum(fac, hinf)[0])]}
-    finite = {k: v["value"] for k, v in routes.items() if math.isfinite(v["value"])}
-    if finite:
-        route = min(finite, key=finite.get)
-        upper = finite[route]
-    else:
-        route, upper = "none", math.inf
+    routes, col_uppers = _upper_routes(A, B, t)
+    route, upper = _best_route(routes)
+    per_column = {"upper": col_uppers.tolist()}
     lower, lower_route, col_lows = _lower_bound(
         A, B, t, n_pieces, seed, restarts, iters
     )
-    if col_lows is not None and per_column is not None:
+    if col_lows is not None:
         per_column["lower"] = col_lows
     return AdmissibilityReport(
         t=t,
@@ -693,16 +688,8 @@ def infinite_time_sup(
         ]
         lower = max(r.lower for r in reports)
         lower_route = max(reports, key=lambda r: r.lower).lower_route
-        routes: dict = dict(reports[-1].routes)
-        if B.kind == "columns":
-            hs = math.sqrt(float(A.weights @ np.sum(np.abs(B.data) ** 2, axis=1)))
-            routes["kernel-L1"] = {"value": hs / A.delta, "reason": None}
-        finite = {k: v["value"] for k, v in routes.items() if math.isfinite(v["value"])}
-        if finite:
-            route = min(finite, key=finite.get)
-            upper = finite[route]
-        else:
-            route, upper = "none", math.inf
+        routes, _ = _upper_routes(A, B, math.inf)
+        route, upper = _best_route(routes)
         return AdmissibilityReport(
             t=math.inf, space="Linf", lower=lower, upper=upper, route=route,
             lower_route=lower_route, n_modes=A.n_modes, routes=routes,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,8 @@ from ._quad import QuadratureError, adaptive_interval
 from .admissibility import (
     CertificateViolation,
     InputOperator,
-    linfty_bounds,
+    _best_route,
+    _upper_routes,
     orlicz_adm_bound,
     output_map_l1,
     trajectory,
@@ -62,7 +63,6 @@ from .spectral import (
 
 __all__ = [
     "CertifyError",
-    "KLBundle",
     "WeissReport",
     "SqfctReport",
     "weiss_check",
@@ -80,28 +80,6 @@ _DIVERGENCE_THRESHOLD = 1e6
 
 class CertifyError(Exception):
     """Invalid certificate request."""
-
-
-@dataclass(frozen=True)
-class KLBundle:
-    """Comparison functions for the ISS envelope: beta(r,t) = M e^{-omega t} r,
-    mu(r) = mu_slope * r; the integral-ISS carrier (Phi, C) rides along when
-    an Orlicz certificate is attached."""
-
-    M: float
-    omega: float
-    mu_slope: float
-    iiss_C: float | None = None
-
-    def __post_init__(self):
-        if not (self.M >= 1.0 and self.omega > 0.0 and self.mu_slope >= 0.0):
-            raise CertifyError("need M >= 1, omega > 0 and a nonnegative gain slope")
-
-    def beta(self, r: float, t: float) -> float:
-        return self.M * math.exp(-self.omega * t) * r
-
-    def mu(self, r: float) -> float:
-        return self.mu_slope * r
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +403,66 @@ def counterexample_run(
 
 
 def _uniform_upper(A: DiagonalGenerator, B: InputOperator) -> float:
-    """Best admissibility constant valid for every horizon (the finite-t
-    kernel route is excluded: it grows with t)."""
-    rep = linfty_bounds(A, B, 1.0 / A.delta, n_pieces=2, restarts=1, iters=1)
-    vals = [
-        v["value"]
-        for key, v in rep.routes.items()
-        if key != "kernel-L1" and math.isfinite(v["value"])
-    ]
-    if B.kind == "columns":
-        hs = math.sqrt(float(A.weights @ np.sum(np.abs(B.data) ** 2, axis=1)))
-        vals.append(hs / A.delta)
-    if not vals:
+    """Best admissibility constant valid for every horizon: the upper-route
+    table at t = inf, where the kernel route has its limit value."""
+    route, upper = _best_route(_upper_routes(A, B, math.inf)[0])
+    if route == "none":
         raise CertifyError(
             "no finite horizon-uniform admissibility bound for this operator"
         )
-    return min(vals)
+    return upper
+
+
+def _envelope_trials(
+    A: DiagonalGenerator,
+    B: InputOperator,
+    gain: Callable[[PiecewiseSignal], float],
+    n_trials: int,
+    horizon: float,
+    seed: int,
+    n_times: int,
+) -> tuple[float, list[dict]]:
+    """Seeded trials of ||x(t)|| <= e^{-delta t}||x0|| + gain(u on [0, t]).
+
+    Each trial draws a random initial state of norm in [0.25, 2] and a random
+    piecewise input, then checks the envelope at ``n_times`` equispaced
+    times.  Returns the largest lhs/rhs ratio and the violations.
+    """
+    rng = np.random.default_rng(seed)
+    m = B.n_inputs(A)
+    times = np.linspace(horizon / n_times, horizon, n_times)
+    max_ratio, violations = 0.0, []
+    for trial in range(n_trials):
+        raw = rng.normal(size=A.n_modes) + 1j * rng.normal(size=A.n_modes)
+        x0 = SpectralVector(raw, "X")
+        scale = float(rng.uniform(0.25, 2.0)) / max(space_norm(A, x0), 1e-300)
+        x0 = SpectralVector(raw * scale, "X")
+        u = random_signal(
+            rng, horizon, int(rng.integers(2, 11)), n_channels=m,
+            amplitude=float(rng.uniform(0.1, 3.0)),
+        )
+        x0n = space_norm(A, x0)
+        for t in times:
+            tf = float(t)
+            lhs = space_norm(A, trajectory(A, B, x0, u, tf))
+            rhs = math.exp(-A.delta * tf) * x0n + gain(u.restrict(tf))
+            if rhs > 0.0:
+                max_ratio = max(max_ratio, lhs / rhs)
+            if lhs > rhs + 1e-8:
+                violations.append({"trial": trial, "t": tf, "lhs": lhs, "rhs": rhs})
+    return max_ratio, violations
+
+
+def _verdict(result: dict, what: str, raise_on_violation: bool) -> dict:
+    """The result, or a CertificateViolation carrying it as its dump."""
+    violations = result["violations"]
+    if violations and raise_on_violation:
+        exc = CertificateViolation(
+            f"{len(violations)} {what} envelope violations (first: {violations[0]})"
+        )
+        exc.dump = result
+        raise exc
+    return result
 
 
 def iss_certificate(
@@ -465,35 +487,17 @@ def iss_certificate(
         raise CertifyError("the full-diagonal form has no finite ISS gain")
     if horizon is None:
         horizon = 4.0 / A.delta
-    slope = adm_bound_override if adm_bound_override is not None else _uniform_upper(A, B)
-    bundle = KLBundle(M=1.0, omega=A.delta, mu_slope=float(slope))
-    rng = np.random.default_rng(seed)
-    m = B.n_inputs(A)
-    times = np.linspace(horizon / n_times, horizon, n_times)
-    max_ratio, violations = 0.0, []
-    for trial in range(n_trials):
-        raw = rng.normal(size=A.n_modes) + 1j * rng.normal(size=A.n_modes)
-        x0 = SpectralVector(raw, "X")
-        scale = float(rng.uniform(0.25, 2.0)) / max(space_norm(A, x0), 1e-300)
-        x0 = SpectralVector(raw * scale, "X")
-        u = random_signal(
-            rng, horizon, int(rng.integers(2, 11)), n_channels=m,
-            amplitude=float(rng.uniform(0.1, 3.0)),
-        )
-        x0n = space_norm(A, x0)
-        for t in times:
-            lhs = space_norm(A, trajectory(A, B, x0, u, float(t)))
-            rhs = bundle.beta(x0n, float(t)) + bundle.mu(
-                u.restrict(float(t)).sup_norm()
-            )
-            if rhs > 0.0:
-                max_ratio = max(max_ratio, lhs / rhs)
-            if lhs > rhs + 1e-8:
-                violations.append(
-                    {"trial": trial, "t": float(t), "lhs": lhs, "rhs": rhs}
-                )
+    if adm_bound_override is None:
+        slope = _uniform_upper(A, B)
+    else:
+        slope = float(adm_bound_override)
+    if not slope >= 0.0:
+        raise CertifyError("the gain slope must be nonnegative")
+    max_ratio, violations = _envelope_trials(
+        A, B, lambda window: slope * window.sup_norm(), n_trials, horizon, seed, n_times
+    )
     result = {
-        "bundle": {"M": bundle.M, "omega": bundle.omega, "mu_slope": bundle.mu_slope},
+        "bundle": {"M": 1.0, "omega": A.delta, "mu_slope": slope},
         "overridden": adm_bound_override is not None,
         "n_trials": n_trials,
         "n_times": n_times,
@@ -502,13 +506,7 @@ def iss_certificate(
         "max_ratio": max_ratio,
         "violations": violations,
     }
-    if violations and raise_on_violation:
-        exc = CertificateViolation(
-            f"{len(violations)} ISS envelope violations (first: {violations[0]})"
-        )
-        exc.dump = result
-        raise exc
-    return result
+    return _verdict(result, "ISS", raise_on_violation)
 
 
 def iiss_certificate(
@@ -531,35 +529,18 @@ def iiss_certificate(
     """
     x0_direction = np.asarray(x0_direction, dtype=complex)
     phi, C = orlicz_adm_bound(A, x0_direction, psi, n_verify=0)
-    B = InputOperator.aminus_x0(x0_direction)
-    bundle = KLBundle(M=1.0, omega=A.delta, mu_slope=0.0, iiss_C=C)
     if horizon is None:
         horizon = 4.0 / A.delta
-    rng = np.random.default_rng(seed)
-    times = np.linspace(horizon / n_times, horizon, n_times)
-    max_ratio, violations = 0.0, []
-    for trial in range(n_trials):
-        raw = rng.normal(size=A.n_modes) + 1j * rng.normal(size=A.n_modes)
-        x0 = SpectralVector(raw, "X")
-        scale = float(rng.uniform(0.25, 2.0)) / max(space_norm(A, x0), 1e-300)
-        x0 = SpectralVector(raw * scale, "X")
-        u = random_signal(
-            rng, horizon, int(rng.integers(2, 11)),
-            amplitude=float(rng.uniform(0.1, 3.0)),
-        )
-        x0n = space_norm(A, x0)
-        for t in times:
-            tf = float(t)
-            lhs = space_norm(A, trajectory(A, B, x0, u, tf))
-            window = u.restrict(tf)
-            mag = SampledFunction(window.breakpoints, np.abs(window.values))
-            rhs = bundle.beta(x0n, tf) + C * luxemburg_norm(phi, mag)
-            if rhs > 0.0:
-                max_ratio = max(max_ratio, lhs / rhs)
-            if lhs > rhs + 1e-8:
-                violations.append({"trial": trial, "t": tf, "lhs": lhs, "rhs": rhs})
+
+    def gain(window: PiecewiseSignal) -> float:
+        mag = SampledFunction(window.breakpoints, np.abs(window.values))
+        return C * luxemburg_norm(phi, mag)
+
+    max_ratio, violations = _envelope_trials(
+        A, InputOperator.aminus_x0(x0_direction), gain, n_trials, horizon, seed, n_times
+    )
     result = {
-        "bundle": {"M": bundle.M, "omega": bundle.omega, "C": C},
+        "bundle": {"M": 1.0, "omega": A.delta, "C": C},
         "n_trials": n_trials,
         "horizon": horizon,
         "seed": seed,
@@ -570,14 +551,7 @@ def iiss_certificate(
             "statement is the E_Phi admissibility envelope"
         ),
     }
-    if violations and raise_on_violation:
-        exc = CertificateViolation(
-            f"{len(violations)} integral-ISS envelope violations "
-            f"(first: {violations[0]})"
-        )
-        exc.dump = result
-        raise exc
-    return result
+    return _verdict(result, "integral-ISS", raise_on_violation)
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,13 @@ closed form).  The returned ``k`` is certified: ``modular(k) <= 1`` and
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
+
+from ._frozen import frozen
 
 __all__ = [
     "OrliczError",
@@ -52,7 +53,6 @@ __all__ = [
     "Segment",
     "YoungFunction",
     "SampledFunction",
-    "eval_young",
     "complementary",
     "luxemburg_norm",
     "modular",
@@ -266,13 +266,6 @@ def power_young(p: float, scale: float = 1.0) -> YoungFunction:
     return YoungFunction([Segment(0.0, "power", scale * p, p - 1.0)])
 
 
-def eval_young(phi: YoungFunction, x: float) -> float:
-    """Phi(x) for x >= 0 (function-call convenience wrapper)."""
-    if x < 0.0:
-        raise OrliczError("eval_young expects x >= 0")
-    return float(phi(x))
-
-
 def complementary(phi: YoungFunction) -> YoungFunction:
     """Legendre transform Phi~(y) = sup_x (xy - Phi(x)), exact per segment.
 
@@ -372,12 +365,12 @@ class SampledFunction:
             tail_rate = float(tail_rate)
             if not (tail_rate > 0.0 and math.isfinite(tail_rate)):
                 raise OrliczError("tail rate must be positive and finite")
-        self.edges = edges
+        values.setflags(write=False)
+        widths.setflags(write=False)
+        self.edges = frozen(edges)
         self.values = values
         self.widths = widths
         self.tail_rate = tail_rate
-        for arr in (self.edges, self.values, self.widths):
-            arr.setflags(write=False)
 
     @classmethod
     def from_callable(
@@ -402,40 +395,6 @@ class SampledFunction:
 
     def scaled(self, alpha: float) -> "SampledFunction":
         return SampledFunction(self.edges, np.abs(alpha) * self.values, self.tail_rate)
-
-    def to_csv(self, path) -> None:
-        """Columns (t, value); last row repeats the final piece value."""
-        with open(path, "w", newline="") as fh:
-            if self.tail_rate is not None:
-                fh.write(f"# tail_rate={self.tail_rate!r}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value"])
-            for t, v in zip(self.edges[:-1], self.values):
-                writer.writerow([repr(float(t)), repr(float(v))])
-            writer.writerow([repr(float(self.edges[-1])), repr(float(self.values[-1]))])
-
-    @classmethod
-    def from_csv(cls, path) -> "SampledFunction":
-        tail_rate = None
-        rows: list[tuple[float, float]] = []
-        with open(path, newline="") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line.lstrip("#").partition("=")
-                    if key.strip() == "tail_rate":
-                        tail_rate = float(val)
-                    continue
-                first = line.split(",")[0].strip()
-                if first == "t":
-                    continue
-                t_str, v_str = line.split(",")
-                rows.append((float(t_str), float(v_str)))
-        edges = np.array([t for t, _ in rows])
-        values = np.array([v for _, v in rows][:-1])
-        return cls(edges, values, tail_rate)
 
 
 def modular(phi: YoungFunction, u: SampledFunction, k: float, slope: bool = False):
@@ -588,9 +547,7 @@ def holder_bound(
     return lhs, rhs
 
 
-def dvp_construct(
-    f: SampledFunction, tau: float = 1.0
-) -> tuple[YoungFunction, dict]:
+def dvp_construct(f: SampledFunction) -> tuple[YoungFunction, dict]:
     """Build a Young function Phi with integral Phi(|f|) finite.
 
     De-la-Vallee-Poussin style: from the level-tail masses
@@ -602,7 +559,6 @@ def dvp_construct(
     verification modular is exact for the sampled profile and is returned in
     the report; a non-finite value raises.
     """
-    del tau  # boundedness beyond any tau holds for every representable profile
     l1 = f.l1()
     if not math.isfinite(l1):
         raise OrliczError("profile is not integrable")

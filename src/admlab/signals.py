@@ -19,14 +19,14 @@ set, one scalar channel per eigenvalue of the model (full state-space input).
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
+
+from ._frozen import frozen
 
 __all__ = [
     "SignalError",
     "PiecewiseSignal",
-    "mode_integral",
     "mode_integrals",
     "counterexample_input",
     "counterexample_intervals",
@@ -103,13 +103,11 @@ class PiecewiseSignal:
             raise SignalError("values must be finite")
         if per_mode and vals.ndim != 2:
             raise SignalError("per-mode signals need a (pieces, modes) value array")
-        self.breakpoints = bp
-        self.values = vals
+        self.breakpoints = frozen(bp)
+        self.values = frozen(vals)
         self.kind = kind
         self.probe_mu = complex(probe_mu)
         self.per_mode = bool(per_mode)
-        self.breakpoints.setflags(write=False)
-        self.values.setflags(write=False)
 
     @property
     def horizon(self) -> float:
@@ -188,25 +186,6 @@ class PiecewiseSignal:
             bp, self.values[::-1], "piecewise", per_mode=self.per_mode
         )
 
-    def to_csv(self, path) -> None:
-        """Rows (s, Re v, Im v per channel); last row repeats the final piece."""
-        vals = np.atleast_2d(self.values.T).T  # (K, m)
-        m = vals.shape[1]
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# kind={self.kind}\n")
-            if self.kind == "probe":
-                fh.write(f"# probe_mu={self.probe_mu.real!r}{self.probe_mu.imag:+}j\n")
-            header = ["s"]
-            for j in range(m):
-                header += [f"re_c{j}", f"im_c{j}"]
-            fh.write(",".join(header) + "\n")
-            rows = np.vstack([vals, vals[-1:]])
-            for s, row in zip(self.breakpoints, rows):
-                cells = [repr(float(s))]
-                for v in row:
-                    cells += [repr(float(v.real)), repr(float(v.imag))]
-                fh.write(",".join(cells) + "\n")
-
 
 def _expdiff_matrix(lams: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """E[n, k] = (e^{λ_n s_{k+1}} - e^{λ_n s_k})/λ_n, cancellation-safe."""
@@ -236,14 +215,6 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
             raise SignalError("per-mode signal does not match the mode count")
         return np.einsum("nk,kn->n", E, u.values)
     return E @ u.values
-
-
-def mode_integral(lam: complex, u: PiecewiseSignal) -> complex:
-    """Single-mode convenience wrapper around :func:`mode_integrals`."""
-    out = mode_integrals(np.array([lam], dtype=complex), u)
-    if out.ndim == 2:
-        raise SignalError("multi-channel signal: use mode_integrals")
-    return complex(out[0])
 
 
 def _validate_gammas(gammas: np.ndarray) -> None:

@@ -28,6 +28,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._frozen import frozen
+
 __all__ = [
     "SpectralError",
     "SpectrumHit",
@@ -39,7 +41,6 @@ __all__ = [
     "resolvent_apply",
     "frac_power_apply",
     "hinf_multiplier",
-    "sector_angle",
     "space_norm",
     "generator_to_json",
     "generator_from_json",
@@ -98,11 +99,9 @@ class DiagonalGenerator:
         gap = float(np.min(np.abs(beta - lam)))
         if gap <= 1e-14 * (1.0 + abs(beta)):
             raise SpectralError("beta must stay away from the spectrum")
-        self.eigenvalues = lam
-        self.weights = w
+        self.eigenvalues = frozen(lam)
+        self.weights = frozen(w)
         self.beta = beta
-        self.eigenvalues.setflags(write=False)
-        self.weights.setflags(write=False)
 
     @property
     def n_modes(self) -> int:
@@ -165,8 +164,7 @@ class SpectralVector:
             raise SpectralError("coefficients must be a 1-d vector")
         if self.scale not in _SCALES:
             raise SpectralError(f"unknown scale tag {self.scale!r}")
-        coeff.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeff)
+        object.__setattr__(self, "coefficients", frozen(coeff))
 
 
 def basis_vector(A: DiagonalGenerator, n: int, scale: str = "X") -> SpectralVector:
@@ -262,11 +260,6 @@ def hinf_multiplier(
         raise SpectralError("multiplier is not finite on the spectrum")
     bound = float(np.max(np.abs(vals)))
     return SpectralVector(x.coefficients * vals, x.scale), bound
-
-
-def sector_angle(A: DiagonalGenerator) -> float:
-    """sup_n |arg(-lambda_n)| (functional form of the generator property)."""
-    return A.sector_angle
 
 
 def generator_to_json(A: DiagonalGenerator) -> dict:

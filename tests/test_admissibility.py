@@ -16,7 +16,6 @@ from admlab.admissibility import (
     linfty_bounds,
     orlicz_adm_bound,
     output_map_l1,
-    reports_to_csv,
     trajectory,
     zero_class_profile,
 )
@@ -275,15 +274,3 @@ def test_infinite_time_sup_l1_and_linf():
     assert "kernel-L1" in li.routes
     with pytest.raises(AdmissibilityError):
         infinite_time_sup(A, B, space="L3")
-
-
-def test_reports_to_csv(tmp_path):
-    path = tmp_path / "reports.csv"
-    reports_to_csv(path, [])
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("t,")
-    A = DiagonalGenerator(LAMS)
-    B = InputOperator.columns(np.ones(4))
-    reps = [linfty_bounds(A, B, t) for t in (0.5, 1.0)]
-    reports_to_csv(path, reps)
-    assert len(path.read_text().splitlines()) == 3

@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from admlab.admissibility import CertificateViolation, InputOperator, input_map
+from admlab.admissibility import (
+    CertificateViolation,
+    InputOperator,
+    _upper_routes,
+    infinite_time_sup,
+    input_map,
+)
 from admlab.certify import (
     CertifyError,
-    KLBundle,
     boundedness_probe,
     counterexample_run,
     iiss_certificate,
@@ -143,18 +148,11 @@ def test_counterexample_complex_and_checkpoints():
         counterexample_run(0.0, 0)
 
 
-def test_klbundle_validation():
-    b = KLBundle(M=2.0, omega=0.5, mu_slope=1.5)
-    assert b.beta(3.0, 0.0) == 6.0
-    assert b.beta(3.0, 2.0) == pytest.approx(6.0 * math.exp(-1.0))
-    assert b.mu(2.0) == 3.0
-    for bad in (
-        dict(M=0.5, omega=0.5, mu_slope=1.0),
-        dict(M=1.0, omega=0.0, mu_slope=1.0),
-        dict(M=1.0, omega=0.5, mu_slope=-1.0),
-    ):
-        with pytest.raises(CertifyError):
-            KLBundle(**bad)
+def test_iss_rejects_a_negative_gain_slope():
+    A = DiagonalGenerator([-1.0, -2.0])
+    B = InputOperator.aminus_x0([1.0, 0.5])
+    with pytest.raises(CertifyError):
+        iss_certificate(A, B, n_trials=1, adm_bound_override=-1.0)
 
 
 def test_iss_certificate_clean_run():
@@ -184,6 +182,24 @@ def test_iss_certificate_undersized_gain_raises():
     assert len(out["violations"]) > 0
     with pytest.raises(CertifyError):
         iss_certificate(A, InputOperator.aminus_full(), n_trials=5)
+
+
+@pytest.mark.parametrize("kind", ["one column", "three columns", "aminus_x0"])
+def test_iss_slope_is_the_infinite_time_route_table(kind):
+    rng = np.random.default_rng(31)
+    lam = -np.sort(rng.uniform(0.5, 20.0, 12)) + 1j * rng.uniform(-3.0, 3.0, 12)
+    A = DiagonalGenerator(lam)
+    k = np.arange(1, 13)
+    if kind == "aminus_x0":
+        B = InputOperator.aminus_x0((rng.normal(size=12) + 1j * rng.normal(size=12)) / k)
+    else:
+        m = 1 if kind == "one column" else 3
+        B = InputOperator.columns(rng.normal(size=(12, m)) / k[:, None] ** 2)
+    sup = infinite_time_sup(A, B, "Linf")
+    routes, _ = _upper_routes(A, B, math.inf)
+    assert sup.routes == routes
+    out = iss_certificate(A, B, n_trials=1, seed=2)
+    assert out["bundle"]["mu_slope"] == sup.upper
 
 
 def test_iiss_certificate():

@@ -22,7 +22,6 @@ from admlab.orlicz import (
     complementary,
     compose_sqrt,
     dvp_construct,
-    eval_young,
     holder_bound,
     luxemburg_norm,
     modular,
@@ -72,7 +71,6 @@ def test_power_young_evaluates_exactly():
         assert phi(x) == pytest.approx(x**2, rel=1e-14)
     half = power_young(2.0, 0.5)  # Phi(y) = y^2/2
     assert half(3.0) == pytest.approx(4.5, rel=1e-14)
-    assert eval_young(half, 2.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_young_validation_rejects_bad_densities():
@@ -473,21 +471,6 @@ def test_dvp_level_cap_and_zero_profile():
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def test_sampled_csv_roundtrip(tmp_path):
-    f = SampledFunction([0.0, 0.5, 2.0], [1.25, 0.75], tail_rate=0.5)
-    path = tmp_path / "profile.csv"
-    f.to_csv(path)
-    g = SampledFunction.from_csv(path)
-    np.testing.assert_array_equal(f.edges, g.edges)
-    np.testing.assert_array_equal(f.values, g.values)
-    assert g.tail_rate == f.tail_rate
-    plain = SampledFunction([0.0, 1.0], [2.0])
-    plain.to_csv(path)
-    back = SampledFunction.from_csv(path)
-    assert back.tail_rate is None
-    np.testing.assert_array_equal(back.values, plain.values)
 
 
 def test_young_json_roundtrip():

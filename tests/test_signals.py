@@ -11,7 +11,6 @@ from admlab.signals import (
     SignalError,
     counterexample_input,
     counterexample_intervals,
-    mode_integral,
     mode_integrals,
     random_signal,
     worst_case_phases,
@@ -43,7 +42,7 @@ def test_series_branch_continuity_at_cutoff():
     # branches must agree with expm1 at the seam
     u = PiecewiseSignal([0.0, 1.0], [1.0 + 0j])
     for lam in (-0.25 * (1 - 1e-6), -0.25 * (1 + 1e-6), -1e-9, -1e-300):
-        assert mode_integral(lam, u) == pytest.approx(
+        assert mode_integrals([lam], u)[0] == pytest.approx(
             math.expm1(lam) / lam, rel=1e-13
         )
 
@@ -83,8 +82,8 @@ def test_scale_time_identity():
     u = random_signal(rng, horizon=1.0, n_pieces=3)
     c = 2.75
     for lam in MODES:
-        assert mode_integral(lam, u.scale_time(c)) == pytest.approx(
-            c * mode_integral(c * lam, u), rel=1e-14
+        assert mode_integrals([lam], u.scale_time(c))[0] == pytest.approx(
+            c * mode_integrals([c * lam], u)[0], rel=1e-14
         )
 
 
@@ -93,7 +92,7 @@ def test_probe_closed_form_and_sup_norm():
     probe = PiecewiseSignal([0.0, t], [amp], "probe", mu)
     for lam in MODES:
         expect = amp * (np.exp((lam - mu) * t) - 1.0) / (lam - mu)
-        assert mode_integral(lam, probe) == pytest.approx(expect, rel=1e-12)
+        assert mode_integrals([lam], probe)[0] == pytest.approx(expect, rel=1e-12)
     # Re mu < 0 means the envelope |amp| e^{-mu s} grows toward the right end
     assert probe.sup_norm() == pytest.approx(abs(amp) * math.exp(0.5 * t), rel=1e-12)
     shifted = probe.shift_origin(0.5)
@@ -196,7 +195,7 @@ def test_random_signal_reproducible_and_bounded():
     assert np.all(real.values.imag == 0.0)
 
 
-def test_piecewise_validation_and_csv(tmp_path):
+def test_piecewise_validation():
     with pytest.raises(SignalError):
         PiecewiseSignal([0.0, 1.0, 0.5], [1.0, 2.0])
     with pytest.raises(SignalError):
@@ -208,9 +207,3 @@ def test_piecewise_validation_and_csv(tmp_path):
         u.restrict(1.5)
     with pytest.raises(SignalError):
         u.shift_origin(1.0)
-    path = tmp_path / "sig.csv"
-    u.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# kind=piecewise")
-    assert "re_c0" in lines[1]
-    assert len(lines) == 2 + 3  # header rows + one row per breakpoint

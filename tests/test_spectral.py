@@ -18,7 +18,6 @@ from admlab.spectral import (
     generator_to_json,
     hinf_multiplier,
     resolvent_apply,
-    sector_angle,
     semigroup_apply,
     space_norm,
 )
@@ -130,12 +129,12 @@ def test_frac_power_squares_to_minus_a():
 
 
 def test_sector_angles():
-    assert sector_angle(DiagonalGenerator([-1.0, -4.0])) == 0.0
+    assert DiagonalGenerator([-1.0, -4.0]).sector_angle == 0.0
     ray = DiagonalGenerator.from_ray(1.0, 1.0, math.pi / 4, 8)
-    assert sector_angle(ray) == pytest.approx(math.pi / 4, rel=1e-15)
+    assert ray.sector_angle == pytest.approx(math.pi / 4, rel=1e-15)
     k = 3.0
     mixed = DiagonalGenerator([-1.0 + k * 1.0j, -1.0 - k * 1.0j])
-    assert sector_angle(mixed) == pytest.approx(math.atan(k), rel=1e-15)
+    assert mixed.sector_angle == pytest.approx(math.atan(k), rel=1e-15)
     with pytest.raises(SpectralError):
         DiagonalGenerator.from_ray(1.0, 1.0, math.pi / 2, 4)
     # Re < 0 passes the constructor, but the angle rounds to pi/2 in floats
