@@ -6,14 +6,11 @@ import numpy as np
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only without freezing anything the caller can write.
+    """A read-only C-contiguous copy of ``a``.
 
-    A view of memory that is read-only already (another object's frozen
-    array) is returned as it is, strides included, so every result computed
-    from it stays the same; anything else is copied before it is frozen.
+    Copying every input keeps the caller's array writable and makes every
+    result depend on the entries alone, never on the strides of a view.
     """
-    owner = a if a.base is None else a.base
-    if a.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
-        a = a.copy()
-        a.setflags(write=False)
+    a = np.array(a, order="C")
+    a.setflags(write=False)
     return a

@@ -58,6 +58,7 @@ from .orlicz import (
 from .signals import (
     PiecewiseSignal,
     _expdiff_matrix,
+    _expm1,
     mode_integrals,
     random_signal,
     worst_case_phases,
@@ -319,11 +320,15 @@ class AdmissibilityReport:
     per_column: dict | None = None
 
     def __post_init__(self):
-        if self.lower > self.upper + _REPORT_SLACK:
-            raise CertificateViolation(
-                f"lower bound {self.lower} exceeds upper bound {self.upper} "
-                f"({self.space}, t={self.t})"
-            )
+        cols = self.per_column or {}
+        pairs = zip(cols.get("lower", ()), cols.get("upper", ()))
+        for j, (lo, up) in enumerate([(self.lower, self.upper), *pairs]):
+            if lo > up + _REPORT_SLACK:
+                where = f" in column {j - 1}" if j else ""
+                raise CertificateViolation(
+                    f"lower bound {lo} exceeds upper bound {up}{where} "
+                    f"({self.space}, t={self.t})"
+                )
 
     def to_json(self) -> dict:
         out = {
@@ -410,13 +415,9 @@ def _upper_routes(
         return routes, per_column
     hs = math.sqrt(float(A.weights @ np.sum(np.abs(B.data) ** 2, axis=1)))
     delta = A.delta
-    routes["kernel-L1"] = {
-        "value": hs * (1.0 - math.exp(-delta * t)) / delta,
-        "reason": None,
-    }
-    kernel = (
-        np.sqrt(A.weights @ np.abs(B.data) ** 2) * (1.0 - math.exp(-delta * t)) / delta
-    )
+    reach = -math.expm1(-delta * t)  # delta * integral_0^t e^{-delta s} ds, 1 at inf
+    routes["kernel-L1"] = {"value": hs * reach / delta, "reason": None}
+    kernel = np.sqrt(A.weights @ np.abs(B.data) ** 2) * reach / delta
     return routes, np.minimum(per_column, kernel)
 
 
@@ -468,7 +469,7 @@ def _lower_bound(
 ) -> tuple[float, str, list[float] | None]:
     lam = A.eigenvalues
     if B.kind == "aminus_full":
-        probe = float(np.max(np.abs(np.exp(lam * t) - 1.0)))
+        probe = float(np.max(np.abs(_expm1(lam * t))))
         chain = _chain_lower(A, t)
         if chain > probe:
             return chain, "closed-form(chain)", None
@@ -634,20 +635,16 @@ def _l2_norm_exact(A: DiagonalGenerator, B: InputOperator, t: float) -> float:
     """||Phi_t||_{L2 -> X}, exact: Gram eigenvalue or per-channel closed form."""
     lam = A.eigenvalues
     if B.kind == "aminus_full":
-        with np.errstate(under="ignore"):
-            kappa = (1.0 - np.exp(2.0 * lam.real * t)) / (2.0 * np.abs(lam.real))
+        kappa = -np.expm1(2.0 * lam.real * t) / (2.0 * np.abs(lam.real))
         return float(math.sqrt(float(np.max(np.abs(lam) ** 2 * kappa))))
     cols = (lam * B.data)[:, None] if B.kind == "aminus_x0" else B.data
     sw = np.sqrt(A.weights)
+    denom = lam[:, None] + np.conj(lam)[None, :]
+    kernel = -1.0 / denom if math.isinf(t) else _expm1(denom * t) / denom
     norm_sq = 0.0
     for j in range(cols.shape[1]):
         b = sw * cols[:, j]
-        denom = lam[:, None] + np.conj(lam)[None, :]
-        with np.errstate(under="ignore"):
-            if math.isinf(t):
-                gram = -np.outer(b, np.conj(b)) / denom
-            else:
-                gram = np.outer(b, np.conj(b)) * (np.exp(denom * t) - 1.0) / denom
+        gram = np.outer(b, np.conj(b)) * kernel
         norm_sq += float(np.max(np.linalg.eigvalsh(gram)))
     return math.sqrt(max(norm_sq, 0.0))
 
@@ -688,12 +685,16 @@ def infinite_time_sup(
         ]
         lower = max(r.lower for r in reports)
         lower_route = max(reports, key=lambda r: r.lower).lower_route
-        routes, _ = _upper_routes(A, B, math.inf)
+        routes, col_uppers = _upper_routes(A, B, math.inf)
         route, upper = _best_route(routes)
+        per_column = {"upper": col_uppers.tolist()}
+        if "lower" in reports[0].per_column:
+            lows = np.max([r.per_column["lower"] for r in reports], axis=0)
+            per_column["lower"] = lows.tolist()
         return AdmissibilityReport(
             t=math.inf, space="Linf", lower=lower, upper=upper, route=route,
             lower_route=lower_route, n_modes=A.n_modes, routes=routes,
-            per_column=reports[-1].per_column,
+            per_column=per_column,
         )
     if space == "L2":
         vals = [_l2_norm_exact(A, B, t) for t in horizons]

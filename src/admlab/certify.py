@@ -50,6 +50,7 @@ from .admissibility import (
 from .orlicz import OrliczError, SampledFunction, YoungFunction, luxemburg_norm, modular
 from .signals import (
     PiecewiseSignal,
+    _expm1,
     counterexample_intervals,
     random_signal,
 )
@@ -696,14 +697,6 @@ def shift_demo(profile, phi: YoungFunction) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _abs_expm1(z: np.ndarray) -> np.ndarray:
-    """|e^z - 1| without cancellation for small |z| (complex, Re z <= 0)."""
-    x, y = z.real, z.imag
-    re = np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2
-    im = np.exp(x) * np.sin(y)
-    return np.hypot(re, im)
-
-
 def boundedness_probe(
     rule: dict, Ns: Sequence[int], t_grid: Sequence[float]
 ) -> dict:
@@ -725,7 +718,7 @@ def boundedness_probe(
         lam = A.eigenvalues
         t_match = 1.0 / float(np.max(np.abs(lam)))
         for t in list(t_grid) + [t_match]:
-            value = float(np.max(_abs_expm1(lam * float(t))))
+            value = float(np.max(np.abs(_expm1(lam * float(t)))))
             rows.append(
                 {"N": int(N), "t": float(t), "value": value,
                  "scale_matched": t == t_match}

@@ -537,7 +537,7 @@ def holder_bound(
         c, rate, width = cu * cv, ru + rv, b - a
         if c == 0.0:
             continue
-        lhs += c * width if rate == 0.0 else c * (1.0 - math.exp(-rate * width)) / rate
+        lhs += c * width if rate == 0.0 else -c * math.expm1(-rate * width) / rate
     top = float(events[-1])
     cu, ru = _piece_descriptor(u, top)
     cv, rv = _piece_descriptor(v, top)

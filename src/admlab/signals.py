@@ -7,9 +7,10 @@ eigenvalue λ the integral is in closed form,
 
     ``∫₀ᵗ e^{λs} u(s) ds = Σ_k v_k (e^{λ s_k} - e^{λ s_{k-1}})/λ``
 
-with the removable singularity at λ = 0 handled through the entire function
-``h(w) = (e^w - 1)/w`` (series evaluation for small |w|, so no subtractive
-cancellation), and ``a (e^{(λ-μ)t} - 1)/(λ-μ)`` for the probe kind.
+evaluated as ``Σ_k v_k e^{λ s_{k-1}} Δ_k h(λ Δ_k)`` with ``Δ_k = s_k - s_{k-1}``
+and the entire ``h(w) = (e^w - 1)/w`` (h(0) = 1), and as ``a t h((λ-μ)t)`` for
+the probe kind.  :func:`_expm1`, the package's one complex e^w - 1, keeps full
+relative accuracy near every zero w ∈ 2πiℤ, so no closed form cancels.
 
 Channel layouts: a 1-d value array is a single scalar channel; a (K, m) array
 is either an m-channel input (finite-rank control) or, when ``per_mode`` is
@@ -34,8 +35,6 @@ __all__ = [
     "random_signal",
 ]
 
-_H_SERIES_CUTOFF = 0.25
-_H_TERMS = 17
 _MAX_DENSE_ENTRIES = 4_000_000
 
 
@@ -43,23 +42,29 @@ class SignalError(Exception):
     """Invalid signal construction or evaluation request."""
 
 
-def _h(w: np.ndarray) -> np.ndarray:
-    """(e^w - 1)/w, entire; series for small |w| avoids cancellation."""
+def _expm1(w) -> np.ndarray:
+    """e^w - 1 for complex w, accurate relative to |e^w - 1| everywhere.
+
+    With w = x + iy and e^x = 1 + expm1(x): Re = expm1(x) - 2 e^x sin²(y/2)
+    and Im = e^x sin y.  Since |e^w - 1|² = expm1(x)² + 4 e^x sin²(y/2), no
+    term is more than a few times |e^w - 1|, so nothing cancels near the
+    zeros w ∈ 2πiℤ, where ``exp(w) - 1`` loses all its digits.
+    """
     w = np.asarray(w, dtype=complex)
     out = np.empty_like(w)
-    small = np.abs(w) < _H_SERIES_CUTOFF
-    if np.any(small):
-        ws = w[small]
-        acc = np.full_like(ws, 1.0 / math.factorial(_H_TERMS))
-        for j in range(_H_TERMS - 1, 0, -1):
-            acc = acc * ws + 1.0 / math.factorial(j)
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        wb = w[big]
-        with np.errstate(under="ignore"):
-            out[big] = (np.exp(wb) - 1.0) / wb
+    with np.errstate(under="ignore"):
+        em1 = np.expm1(w.real)
+        ex = em1 + 1.0
+        half = np.sin(0.5 * w.imag)
+        out.real = em1 - 2.0 * ex * half * half
+        out.imag = ex * np.sin(w.imag)
     return out
+
+
+def _h(w) -> np.ndarray:
+    """(e^w - 1)/w, entire, with the value 1 at w = 0."""
+    w = np.asarray(w, dtype=complex)
+    return np.divide(_expm1(w), w, out=np.ones_like(w), where=w != 0.0)
 
 
 class PiecewiseSignal:
@@ -188,7 +193,7 @@ class PiecewiseSignal:
 
 
 def _expdiff_matrix(lams: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """E[n, k] = (e^{λ_n s_{k+1}} - e^{λ_n s_k})/λ_n, cancellation-safe."""
+    """E[n, k] = (e^{λ_n s_{k+1}} - e^{λ_n s_k})/λ_n as e^{λ_n s_k} Δ_k h(λ_n Δ_k)."""
     lams = np.asarray(lams, dtype=complex).reshape(-1, 1)
     left = edges[:-1].reshape(1, -1)
     widths = np.diff(edges).reshape(1, -1)

@@ -8,6 +8,7 @@ import pytest
 from admlab.admissibility import (
     AdmissibilityError,
     AdmissibilityReport,
+    CertificateViolation,
     InputOperator,
     factorization_check,
     infinite_time_sup,
@@ -20,7 +21,12 @@ from admlab.admissibility import (
     zero_class_profile,
 )
 from admlab.orlicz import power_young
-from admlab.signals import PiecewiseSignal, counterexample_input, random_signal
+from admlab.signals import (
+    PiecewiseSignal,
+    counterexample_input,
+    mode_integrals,
+    random_signal,
+)
 from admlab.spectral import DiagonalGenerator, SpectralVector, basis_vector, space_norm
 
 LAMS = [-1.0, -2.0 + 1.5j, -2.0 - 1.5j, -5.0]
@@ -274,3 +280,77 @@ def test_infinite_time_sup_l1_and_linf():
     assert "kernel-L1" in li.routes
     with pytest.raises(AdmissibilityError):
         infinite_time_sup(A, B, space="L3")
+
+
+def test_infinite_time_sup_per_column_pairs_are_valid():
+    # the per-column uppers hold for every horizon, the lowers are attained
+    A = DiagonalGenerator([-1.0, -1.5, -30.0])
+    B = InputOperator.columns(np.eye(3)[:, :2])
+    sup = infinite_time_sup(A, B, space="Linf")
+    cols = sup.per_column
+    assert cols["upper"] == [1.0, 1.0 / 1.5]  # ||A^{-1} b_j||: hinf at t = inf
+    late = linfty_bounds(A, B, 40.0).per_column
+    for lo, up, late_lo in zip(cols["lower"], cols["upper"], late["lower"]):
+        assert lo <= up
+        assert late_lo <= up + 1e-12
+    horizons = [0.25, 1.0, 4.0]
+    assert cols["lower"] == np.max(
+        [linfty_bounds(A, B, t).per_column["lower"] for t in horizons], axis=0
+    ).tolist()
+
+
+def test_report_checks_every_per_column_pair():
+    with pytest.raises(CertificateViolation, match="column 1"):
+        AdmissibilityReport(
+            t=1.0, space="Linf", lower=0.5, upper=1.0, route="r", lower_route="l",
+            n_modes=2, per_column={"lower": [0.5, 0.9], "upper": [1.0, 0.8]},
+        )
+
+
+def test_aminus_full_probe_matches_expm1_at_tiny_t():
+    # max_n |e^{lambda_n t} - 1| is what the constant probe attains
+    mp = pytest.importorskip("mpmath")
+    t = 1e-10
+    for lams in ([-1.0, -2.0], [-1.0, -2.0 + 3.0j]):
+        A = DiagonalGenerator(lams)
+        rep = linfty_bounds(A, InputOperator.aminus_full(), t)
+        assert rep.lower_route == "closed-form(probe)"
+        with mp.workdps(40):
+            exact = max(
+                float(abs(mp.expm1(mp.mpc(lam.real, lam.imag) * t)))
+                for lam in A.eigenvalues
+            )
+        assert abs(rep.lower - exact) <= 1e-15 * exact
+
+
+def test_kernel_route_matches_mpmath_at_finite_t():
+    # hs * (1 - e^{-delta t}) / delta, including delta t << 1
+    mp = pytest.importorskip("mpmath")
+    A = DiagonalGenerator([-0.5, -3.0 + 2.0j, -7.0])
+    b = np.array([[1.0, 0.3j], [0.5 - 0.2j, 1.0], [0.25, -0.5]])
+    B = InputOperator.columns(b)
+    for t in (1e-6, 0.02, 3.0):
+        got = linfty_bounds(A, B, t, restarts=1, iters=1).routes["kernel-L1"]["value"]
+        with mp.workdps(40):
+            hs = mp.sqrt(mp.fsum(mp.mpf(abs(x)) ** 2 for x in b.ravel()))
+            delta = mp.mpf(A.delta)
+            exact = float(-hs * mp.expm1(-delta * t) / delta)
+        assert abs(got - exact) <= 1e-15 * exact
+
+
+def test_results_do_not_depend_on_memory_layout():
+    # a reversed signal holds a negative-stride view of its values; a signal
+    # built from a contiguous copy of the same values must give the same bits
+    rng = np.random.default_rng(31)
+    lams = -np.sort(rng.uniform(0.5, 40.0, 48)) + 1j * rng.uniform(-5.0, 5.0, 48)
+    A = DiagonalGenerator(lams)
+    B = InputOperator.columns(rng.normal(size=48) + 0j)
+    x0 = SpectralVector(rng.normal(size=48) + 0j)
+    rev = random_signal(rng, 2.0, 7).reversed_signal()
+    same = PiecewiseSignal(rev.breakpoints.copy(), np.ascontiguousarray(rev.values))
+    np.testing.assert_array_equal(mode_integrals(lams, rev), mode_integrals(lams, same))
+    for t in (1.3, 2.0):
+        np.testing.assert_array_equal(
+            trajectory(A, B, x0, rev, t).coefficients,
+            trajectory(A, B, x0, same, t).coefficients,
+        )

@@ -10,12 +10,19 @@ last bit fails here.  ``counterexample`` is left out: its report embeds
 Regenerate the golden files (only when a change of output is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before it overwrites anything, the script prints one line per changed file:
+how many numbers moved, the largest relative move, and a flag when bytes
+outside a number changed too (or a file appeared or vanished).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -162,14 +169,57 @@ def test_golden_report_is_byte_identical(name, tmp_path):
         assert got[fname] == data, f"{name}/{fname} differs from the golden copy"
 
 
+_NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+def _moves(old: bytes, new: bytes) -> tuple[int, float] | None:
+    """(numbers changed, largest relative move); None if other bytes changed."""
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return None
+    pairs = [(float(a), float(b)) for a, b in
+             zip(_NUMBER.findall(old), _NUMBER.findall(new)) if a != b]
+    worst = max((abs(b - a) / abs(a) if a else math.inf for a, b in pairs), default=0.0)
+    return len(pairs), worst
+
+
+def _report_moves(old_dir: Path, new_dir: Path) -> None:
+    """Print one line per file that differs between two golden trees."""
+    def files(d: Path) -> dict[str, bytes]:
+        return {str(p.relative_to(d)): p.read_bytes()
+                for p in sorted(d.rglob("*")) if p.is_file()}
+
+    old, new = files(old_dir), files(new_dir)
+    for label in sorted(set(old) | set(new)):
+        if old.get(label) == new.get(label):
+            continue
+        moves = None if label not in old or label not in new else _moves(
+            old[label], new[label])
+        if moves is None:
+            print(f"{label}: CHANGED OUTSIDE A NUMBER")
+        else:
+            print(f"{label}: {moves[0]} numbers changed, max rel move {moves[1]:.2g}")
+
+
+def test_regeneration_report_tells_number_moves_from_other_changes():
+    assert _moves(b'{"a": 1.5, "b": [2, 3e-1]}', b'{"a": 1.5, "b": [2, 3.3e-1]}') == (
+        1, pytest.approx(0.1))
+    assert _moves(b'{"a": 1.5}', b'{"a": 1.5}') == (0, 0.0)
+    assert _moves(b'{"a": 1.5}', b'{"b": 1.5}') is None
+    assert _moves(b'{"a": [1]}', b'{"a": [1, 2]}') is None
+
+
 def regenerate() -> None:
-    if GOLDEN.exists():
-        shutil.rmtree(GOLDEN)
-    for name, (_, payload) in _scenarios().items():
-        case = GOLDEN / name
-        case.mkdir(parents=True)
-        (case / "scenario.json").write_text(json.dumps(payload, indent=1) + "\n")
-        _run_case(name, case)
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp) / "golden"
+        for name, (_, payload) in _scenarios().items():
+            case = fresh / name
+            case.mkdir(parents=True)
+            (case / "scenario.json").write_text(json.dumps(payload, indent=1) + "\n")
+            run(CASES[name], str(case / "scenario.json"), out=str(case), quiet=True)
+        if GOLDEN.exists():
+            _report_moves(GOLDEN, fresh)
+            shutil.rmtree(GOLDEN)
+        shutil.copytree(fresh, GOLDEN)
 
 
 if __name__ == "__main__":

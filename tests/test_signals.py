@@ -37,14 +37,42 @@ def test_mode_integrals_match_riemann():
         assert closed[n] == pytest.approx(_riemann(lam, u), rel=1e-9)
 
 
-def test_series_branch_continuity_at_cutoff():
-    # the (e^w - 1)/w kernel switches to a series below |w| = 0.25; both
-    # branches must agree with expm1 at the seam
-    u = PiecewiseSignal([0.0, 1.0], [1.0 + 0j])
-    for lam in (-0.25 * (1 - 1e-6), -0.25 * (1 + 1e-6), -1e-9, -1e-300):
-        assert mode_integrals([lam], u)[0] == pytest.approx(
-            math.expm1(lam) / lam, rel=1e-13
-        )
+def _mp_h(mp, w):
+    """(e^w - 1)/w at 40 digits, evaluated at the float w itself."""
+    w = mp.mpc(w.real, w.imag)
+    return mp.mpf(1) if w == 0 else mp.expm1(w) / w
+
+
+TWO_PI = 2.0 * math.pi
+# (lambda, probe mu or None): a probe on [0, 1.5], else the unit signal on [0, 1]
+ORACLE_CASES = {
+    "below-0.25": (-0.25 * (1 - 1e-6), None),
+    "above-0.25": (-0.25 * (1 + 1e-6), None),
+    "tiny": (-1e-9, None),
+    "subnormal-scale": (-1e-300, None),
+    "near-2pi-i": (-1e-9 + TWO_PI * 1j, None),
+    "near-4pi-i": (-1e-6 + 2 * TWO_PI * 1j, None),
+    "probe-growing": (-1.0 + 0.5j, -30.0 - 2.0j),
+    "probe-lambda-eq-mu": (-2.0 + 1.0j, -2.0 + 1.0j),
+    "lambda-zero": (0.0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_mode_integrals_match_mpmath(case):
+    # the (e^w - 1)/w kernel against 40 digits, across the old series seam
+    # at |w| = 0.25, at tiny |w| and next to the zeros w in 2 pi i Z
+    mp = pytest.importorskip("mpmath")
+    lam, mu = ORACLE_CASES[case]
+    lam = complex(lam)
+    if mu is None:
+        u, w, scale = PiecewiseSignal([0.0, 1.0], [1.0 + 0j]), lam, 1.0
+    else:
+        u = PiecewiseSignal([0.0, 1.5], [0.5 - 0.25j], "probe", probe_mu=mu)
+        w, scale = (lam - complex(mu)) * 1.5, (0.5 - 0.25j) * 1.5
+    with mp.workdps(40):
+        exact = complex(scale * _mp_h(mp, w))
+    assert abs(mode_integrals([lam], u)[0] - exact) <= 1e-14 * abs(exact)
 
 
 def test_linearity():
