@@ -16,6 +16,7 @@ mandatory seed.  Files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -94,13 +95,92 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _load_schema() -> dict:
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The scenario schema's validator, built once per process on first use."""
     text = resources.files("admlab").joinpath("scenario.schema.json").read_text()
-    return json.loads(text)
+    return jsonschema.Draft202012Validator(json.loads(text))
+
+
+# The large numeric arrays are type-checked in one pass each instead of entry by
+# entry through the schema.  A JSON number parses to exactly ``int`` or
+# ``float`` (never ``bool``); NaN and ±inf are numbers, as the schema has them.
+_NUMBER = (int, float)
+
+
+def _is_cvec(arr) -> bool:
+    """The schema's ``cvec``: a non-empty list of numbers and [re, im] pairs."""
+    if type(arr) is not list or not arr:
+        return False
+    for v in arr:
+        if type(v) not in _NUMBER and not (
+            type(v) is list
+            and len(v) == 2
+            and type(v[0]) in _NUMBER
+            and type(v[1]) in _NUMBER
+        ):
+            return False
+    return True
+
+
+def _is_weights(arr) -> bool:
+    """The schema's ``weights``; ``not w <= 0`` is its exclusiveMinimum test."""
+    return (
+        type(arr) is list
+        and bool(arr)
+        and all(type(w) in _NUMBER and not w <= 0 for w in arr)
+    )
+
+
+def _is_matrix(arr) -> bool:
+    """The schema's input ``matrix``: a non-empty list of ``cvec`` rows."""
+    return type(arr) is list and bool(arr) and all(_is_cvec(row) for row in arr)
+
+
+# Each fast-checked array: its check, and the one-entry stand-in that replaces
+# it once the check passes (the schema accepts the stand-in too).
+_FAST_ARRAYS = {
+    "eigenvalues": (_is_cvec, [0]),
+    "weights": (_is_weights, [1]),
+    "matrix": (_is_matrix, [[0]]),
+    "x0": (_is_cvec, [0]),
+    "initial_state": (_is_cvec, [0]),
+}
+
+
+def _stand_ins(obj: dict, keys) -> dict:
+    """A shallow copy of ``obj`` with each array under ``keys`` that passes its
+    fast check replaced by its stand-in."""
+    out = dict(obj)
+    for key in keys:
+        check, stand_in = _FAST_ARRAYS[key]
+        if key in obj and check(obj[key]):
+            out[key] = stand_in
+    return out
+
+
+def _schema_doc(scn: dict) -> dict:
+    """``scn`` with every fast-checked array replaced by its stand-in.  Each
+    array and its stand-in are both valid where they stand, so the schema
+    accepts the result exactly when it accepts ``scn``."""
+    doc = _stand_ins(scn, ("x0", "initial_state"))
+    for key, arrays in (
+        ("generator", ("eigenvalues", "weights")),
+        ("probe_rule", ("eigenvalues", "weights")),
+        ("input_operator", ("matrix", "x0")),
+    ):
+        if type(doc.get(key)) is dict:
+            doc[key] = _stand_ins(doc[key], arrays)
+    return doc
 
 
 def load_scenario(path: str) -> tuple[dict, str]:
-    """Parse + schema-validate a scenario file; returns (dict, sha256 hash)."""
+    """Parse + schema-validate a scenario file; returns (dict, sha256 hash).
+
+    The schema sees the document with its large arrays cut to stand-ins
+    (:func:`_schema_doc`); only when that fails is the full document
+    validated, so that the error reported is the schema's own first error.
+    """
     p = Path(path)
     try:
         raw = p.read_bytes()
@@ -111,12 +191,15 @@ def load_scenario(path: str) -> tuple[dict, str]:
         scn = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {path} is not valid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(_load_schema())
-    errors = sorted(validator.iter_errors(scn), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        pointer = "/" + "/".join(str(part) for part in e.absolute_path)
-        raise ConfigError(f"scenario schema violation at {pointer!r}: {e.message}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario {path} is not valid UTF-8: {exc}") from exc
+    validator = _validator()
+    if not (isinstance(scn, dict) and validator.is_valid(_schema_doc(scn))):
+        errors = sorted(validator.iter_errors(scn), key=lambda e: list(e.absolute_path))
+        if errors:
+            e = errors[0]
+            pointer = "/" + "/".join(str(part) for part in e.absolute_path)
+            raise ConfigError(f"scenario schema violation at {pointer!r}: {e.message}")
     if not isinstance(scn, dict):
         raise ConfigError("scenario must be a JSON object")
     return scn, digest
@@ -265,22 +348,26 @@ def emit_plotdata(outdir: Path, jobs: list[tuple[str, str, list[tuple]]]) -> lis
     return paths
 
 
-def _json_ready(value):
+def _json_ready(value, path: str = ""):
+    """``value`` as plain JSON data; inf becomes "inf"/"-inf", and a NaN
+    anywhere is a ConfigError naming its key path (``path`` is the prefix)."""
     if isinstance(value, dict):
-        return {str(k): _json_ready(v) for k, v in value.items()}
+        return {str(k): _json_ready(v, f"{path}/{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
+        return [_json_ready(v, f"{path}/{i}") for i, v in enumerate(value)]
     if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
+        return _json_ready(value.tolist(), path)
     if isinstance(value, (np.floating, float)):
         value = float(value)
+        if math.isnan(value):
+            raise ConfigError(f"refusing to write NaN at {path!r}")
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         return value
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return [_json_ready(value.real, path), _json_ready(value.imag, path)]
     return value
 
 
@@ -290,7 +377,7 @@ def _report_text(command, scenario_hash, seed, results) -> str:
         "scenario_hash": scenario_hash,
         "version": __version__,
         "seed": seed,
-        "results": _json_ready(results),
+        "results": _json_ready(results, "/results"),
     }
     return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
@@ -582,7 +669,7 @@ def run(command: str, scenario_path: str, out=None, seed=None, modes=None,
             "version": __version__,
             "seed": seed,
             "error": str(exc),
-            "dump": _json_ready(getattr(exc, "dump", {})),
+            "dump": _json_ready(getattr(exc, "dump", {}), "/dump"),
         }
         _write_atomic(
             outdir / "violation.dump.json",

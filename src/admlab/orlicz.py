@@ -59,7 +59,6 @@ __all__ = [
     "holder_bound",
     "compose_sqrt",
     "dvp_construct",
-    "young_to_json",
     "young_from_json",
     "power_young",
 ]
@@ -604,14 +603,6 @@ def dvp_construct(f: SampledFunction) -> tuple[YoungFunction, dict]:
         "top_slope": top + 1.0,
     }
     return phi, report
-
-
-def young_to_json(phi: YoungFunction) -> dict:
-    return {
-        "segments": [
-            {"x0": s.x0, "kind": s.kind, "c": s.c, "r": s.r} for s in phi.segments
-        ]
-    }
 
 
 def young_from_json(obj: dict) -> YoungFunction:

@@ -210,8 +210,16 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
     lams = np.asarray(lams, dtype=complex)
     if u.kind == "probe":
         w = (lams - u.probe_mu) * u.horizon
-        with np.errstate(under="ignore"):
-            return u.values[0] * u.horizon * _h(w)
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            out = u.values[0] * u.horizon * _h(w)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            lam = complex(lams.reshape(-1)[np.argmax(bad.reshape(-1))])
+            raise SignalError(
+                f"probe integral is not finite for lambda={lam}, mu={u.probe_mu} "
+                f"on horizon {u.horizon:g}: e^((lambda-mu)t) overflows"
+            )
+        return out
     E = _expdiff_matrix(lams, u.breakpoints)
     if u.values.ndim == 1:
         return E @ u.values

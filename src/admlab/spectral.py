@@ -42,7 +42,6 @@ __all__ = [
     "frac_power_apply",
     "hinf_multiplier",
     "space_norm",
-    "generator_to_json",
     "generator_from_json",
 ]
 
@@ -260,15 +259,6 @@ def hinf_multiplier(
         raise SpectralError("multiplier is not finite on the spectrum")
     bound = float(np.max(np.abs(vals)))
     return SpectralVector(x.coefficients * vals, x.scale), bound
-
-
-def generator_to_json(A: DiagonalGenerator) -> dict:
-    return {
-        "kind": "explicit",
-        "eigenvalues": [[z.real, z.imag] for z in A.eigenvalues],
-        "weights": [float(w) for w in A.weights],
-        "beta": [A.beta.real, A.beta.imag],
-    }
 
 
 def generator_from_json(obj: dict) -> DiagonalGenerator:

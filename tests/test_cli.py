@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from admlab.cli import ConfigError, emit_plotdata, load_scenario, main, run
+from admlab.cli import ConfigError, _json_ready, emit_plotdata, load_scenario, main, run
 
 ADM_SCENARIO = {
     "generator": {"eigenvalues": [[-1.0, 0.0], [-2.0, 0.0], [-4.0, 0.0]]},
@@ -45,15 +45,61 @@ def test_run_adm_report_and_csv(tmp_path, capsys):
     assert capsys.readouterr().out  # summary lines printed
 
 
+EXPLICIT_3 = [[-1.0, 0.0], [-2.0, 0.5], [-4.0, -0.5]]
+SAMPLES = {"kind": "samples", "edges": [0.0, 0.25, 0.6, 1.0], "values": [1.5, 0.25, 2.0]}
+
+# Every command but counterexample (whose report embeds runtime_s), on
+# scenarios with explicit per-mode arrays wherever the command reads them.
+RERUN_SCENARIOS = {
+    "adm": ADM_SCENARIO,
+    "simulate": {
+        "generator": {"eigenvalues": EXPLICIT_3, "weights": [1.0, 0.5, 2.0]},
+        "input_operator": {"kind": "columns", "matrix": [[1.0, 0.0], [0.5, 0.2], [0.25, 1.0]]},
+        "signal": {"kind": "random", "n_pieces": 4, "horizon": 1.0},
+        "initial_state": [1.0, [0.0, 0.5], 0.3],
+        "n_time_samples": 5,
+        "seed": 3,
+    },
+    "weiss": {
+        "generator": {"eigenvalues": EXPLICIT_3},
+        "input_operator": {"kind": "aminus_x0", "x0": [0.6, [0.48, 0.1], 0.64]},
+        "p": 2,
+    },
+    "sqfct": {"generator": {"eigenvalues": EXPLICIT_3, "weights": [1.0, 0.5, 2.0]}},
+    "iss": {
+        "generator": {"eigenvalues": EXPLICIT_3},
+        "input_operator": {"kind": "aminus_x0", "x0": [1.0, 0.5, [0.0, 0.25]]},
+        "trials": 5,
+        "seed": 4,
+    },
+    "iiss": {
+        "generator": {"eigenvalues": EXPLICIT_3},
+        "x0": [1.0, 0.5, [0.0, 0.5]],
+        "young": {"power": 2.0},
+        "trials": 4,
+        "seed": 7,
+    },
+    "orlicz-norm": {"young": {"power": 3.0, "scale": 0.5}, "profile": SAMPLES},
+    "shift-demo": {"young": {"power": 1.5}, "profile": SAMPLES},
+    "probe-boundedness": {
+        "probe_rule": {"kind": "ray", "base": -0.8, "exponent": 1.0, "angle": 0.6,
+                       "count": 4, "weights": [1.0, 0.5, 0.25, 2.0]},
+        "Ns": [4],
+        "t_grid": [0.01, 0.1],
+    },
+}
+
+
 def test_byte_identical_reruns(tmp_path):
-    scn = _write(tmp_path, "adm.json", ADM_SCENARIO)
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert run("adm", scn, out=str(out)) == 0
-        outs.append(out)
-    for fname in ("adm.report.json", "admissibility.csv"):
-        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+    for command, scenario in RERUN_SCENARIOS.items():
+        scn = _write(tmp_path, f"{command}.json", scenario)
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / command / name
+            assert run(command, scn, out=str(out), quiet=True) == 0, command
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert f"{command}.report.json" in outs[0]
+        assert outs[0] == outs[1], command
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):
@@ -322,3 +368,37 @@ def test_module_entry_point_subprocess(tmp_path):
 def test_missing_scenario_file_exits_1(tmp_path, capsys):
     assert main(["adm", "--scenario", str(tmp_path / "absent.json")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_non_utf8_scenario_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["adm", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+    (tmp_path / "latin1.json").write_bytes(b'{"out": "\xe9"}')
+    with pytest.raises(ConfigError, match="latin1.json"):
+        load_scenario(str(tmp_path / "latin1.json"))
+
+
+def test_overflowing_probe_in_simulate_exits_1(tmp_path, capsys):
+    scn = _write(tmp_path, "sim.json", {
+        "generator": {"eigenvalues": [[-1.0, 0.0], [-2.0, 0.0]]},
+        "input_operator": {"kind": "columns", "matrix": [[1.0], [0.5]]},
+        "signal": {"kind": "probe", "amplitude": 1.0, "mu": -800, "horizon": 1.0},
+    })
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", scn, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "probe" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_json_ready_refuses_nan_and_names_the_key():
+    with pytest.raises(ConfigError, match="'/results/reports/1/lower'"):
+        _json_ready({"reports": [{"lower": 1.0}, {"lower": float("nan")}]}, "/results")
+    with pytest.raises(ConfigError, match="'/dump/z/0'"):
+        _json_ready({"z": np.array([complex(1.0, float("nan"))])}, "/dump")
+    assert _json_ready({"a": np.array([1.0, np.inf])}) == {"a": [1.0, "inf"]}
+    assert _json_ready(complex(-np.inf, 2.0)) == ["-inf", 2.0]  # not bare -Infinity

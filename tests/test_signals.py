@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ def test_mode_integrals_match_mpmath(case):
     with mp.workdps(40):
         exact = complex(scale * _mp_h(mp, w))
     assert abs(mode_integrals([lam], u)[0] - exact) <= 1e-14 * abs(exact)
+
+
+def test_overflowing_probe_raises_a_named_error():
+    # e^{(lambda - mu) t} = e^{799} is beyond double precision
+    u = PiecewiseSignal([0, 1], [1.0], "probe", probe_mu=-800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow RuntimeWarning
+        with pytest.raises(SignalError, match=r"lambda=\(-1\+0j\), mu=\(-800\+0j\) on horizon 1"):
+            mode_integrals([-1.0], u)
+    near = PiecewiseSignal([0, 1], [1.0], "probe", probe_mu=-700.0)
+    assert np.isfinite(mode_integrals([-1.0], near)).all()  # e^{699} is in range
 
 
 def test_linearity():

@@ -15,7 +15,6 @@ from admlab.spectral import (
     basis_vector,
     frac_power_apply,
     generator_from_json,
-    generator_to_json,
     hinf_multiplier,
     resolvent_apply,
     semigroup_apply,
@@ -198,10 +197,6 @@ def test_ray_rule_and_json_roundtrip():
     mags = 2.0 * np.arange(1, 6) ** 1.5
     np.testing.assert_allclose(np.abs(lam), mags, rtol=1e-15)
     assert np.all(lam.real < 0.0)
-    back = generator_from_json(generator_to_json(A))
-    np.testing.assert_array_equal(back.eigenvalues, A.eigenvalues)
-    np.testing.assert_array_equal(back.weights, A.weights)
-    assert back.beta == A.beta
     ray = generator_from_json(
         {"kind": "ray", "base": 2.0, "exponent": 1.5, "angle": math.pi / 6,
          "count": 5}
