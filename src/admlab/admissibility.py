@@ -216,7 +216,14 @@ def trajectory(
     u: PiecewiseSignal,
     t: float,
 ) -> SpectralVector:
-    """Mild solution x(t) = T(t) x0 + integral_0^t T(t-s) B u(s) ds."""
+    """Mild solution x(t) = T(t) x0 + integral_0^t T(t-s) B u(s) ds.
+
+    The forced part is the input map of ``u`` reversed on [0, t], so one call
+    costs O(n·K) for the K pieces of u on [0, t], in O(n·m) memory.  Sample a
+    path at times t_1 < … < t_T by the semigroup property,
+    ``x(t_j) = trajectory(A, B, x(t_{j-1}), u.shift_origin(t_{j-1}),
+    t_j - t_{j-1})``: each piece is then integrated once, O(n·(K+T)) in all.
+    """
     if not 0.0 < t <= u.horizon:
         raise AdmissibilityError("evaluation time must lie in (0, horizon]")
     free = semigroup_apply(A, t, x0)

@@ -424,8 +424,10 @@ def _cmd_simulate(scn, seed, modes):
     n = int(scn.get("n_time_samples", 33))
     ts = np.linspace(0.0, horizon, n)
     norms = [space_norm(A, x0)]
-    for t in ts[1:]:
-        norms.append(space_norm(A, trajectory(A, B, x0, u, float(t))))
+    x = x0
+    for prev, t in zip(ts[:-1], ts[1:]):
+        x = trajectory(A, B, x, u.shift_origin(float(prev)), float(t - prev))
+        norms.append(space_norm(A, x))
     rows = [_repr_row(t, v) for t, v in zip(ts, norms)]
     results = {
         "horizon": horizon,

@@ -5,12 +5,22 @@ Signals are piecewise constant on a strictly increasing breakpoint grid
 single exponential probe ``u(s) = a e^{-μs}``.  For a diagonal mode with
 eigenvalue λ the integral is in closed form,
 
-    ``∫₀ᵗ e^{λs} u(s) ds = Σ_k v_k (e^{λ s_k} - e^{λ s_{k-1}})/λ``
+    ``∫₀ᵗ e^{λs} u(s) ds = Σ_k v_k e^{λ s_{k-1}} Δ_k h(λ Δ_k)``
 
-evaluated as ``Σ_k v_k e^{λ s_{k-1}} Δ_k h(λ Δ_k)`` with ``Δ_k = s_k - s_{k-1}``
-and the entire ``h(w) = (e^w - 1)/w`` (h(0) = 1), and as ``a t h((λ-μ)t)`` for
-the probe kind.  :func:`_expm1`, the package's one complex e^w - 1, keeps full
-relative accuracy near every zero w ∈ 2πiℤ, so no closed form cancels.
+with ``Δ_k = s_k - s_{k-1}`` and the entire ``h(w) = (e^w - 1)/w`` (h(0) = 1),
+and ``a t h((λ-μ)t)`` for the probe kind.  :func:`mode_integrals` evaluates
+the sum in Horner form from the last piece back, by the semigroup property
+e^{λ s_k} = e^{λ s_{k-1}} e^{λ Δ_k}:
+
+    ``acc ← (acc + z_k acc) + Δ_k h(λ Δ_k) v_k``,  ``z_k = e^{λ Δ_k} - 1``,
+
+one e^w - 1 per mode and piece, O(n·m·K) time and O(n·m) memory for n modes,
+m channels and K pieces.  No e^{λ s_k} is formed, and the z_k are taken for a
+few pieces at a time (at most ``_BLOCK_ENTRIES`` piece–mode pairs), never as
+an n×K matrix.
+:func:`_expm1`, the package's one complex e^w - 1, keeps full relative
+accuracy near every zero w ∈ 2πiℤ, so no closed form cancels, and skips the
+sines of the modes whose e^{Re w} underflows to 0.
 
 Channel layouts: a 1-d value array is a single scalar channel; a (K, m) array
 is either an m-channel input (finite-rank control) or, when ``per_mode`` is
@@ -36,6 +46,7 @@ __all__ = [
 ]
 
 _MAX_DENSE_ENTRIES = 4_000_000
+_BLOCK_ENTRIES = 4096  # piece-mode pairs per e^w - 1 call in mode_integrals (64 KB)
 
 
 class SignalError(Exception):
@@ -49,22 +60,40 @@ def _expm1(w) -> np.ndarray:
     and Im = e^x sin y.  Since |e^w - 1|² = expm1(x)² + 4 e^x sin²(y/2), no
     term is more than a few times |e^w - 1|, so nothing cancels near the
     zeros w ∈ 2πiℤ, where ``exp(w) - 1`` loses all its digits.
+
+    Where expm1(x) == -1 exactly, e^x is 0 in double precision and the value
+    is -1 + 0j whatever y is.  When most entries are such underflowed ones,
+    only the live entries pay for the two sines, which are slow for large y.
     """
     w = np.asarray(w, dtype=complex)
-    out = np.empty_like(w)
     with np.errstate(under="ignore"):
         em1 = np.expm1(w.real)
-        ex = em1 + 1.0
-        half = np.sin(0.5 * w.imag)
-        out.real = em1 - 2.0 * ex * half * half
-        out.imag = ex * np.sin(w.imag)
+        live = em1 != -1.0
+        n_live = int(np.count_nonzero(live))
+        if 2 * n_live >= live.size:
+            return _expm1_parts(em1, w.imag)
+        out = np.full(w.shape, -1.0 + 0.0j)
+        if n_live:
+            out[live] = _expm1_parts(em1[live], w.imag[live])
     return out
 
 
-def _h(w) -> np.ndarray:
-    """(e^w - 1)/w, entire, with the value 1 at w = 0."""
+def _expm1_parts(em1: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The two formulas of :func:`_expm1` from expm1(x) and y."""
+    out = np.empty(em1.shape, dtype=complex)
+    ex = em1 + 1.0
+    half = np.sin(0.5 * y)
+    out.real = em1 - 2.0 * ex * half * half
+    out.imag = ex * np.sin(y)
+    return out
+
+
+def _h(w, em1=None) -> np.ndarray:
+    """(e^w - 1)/w, entire, with the value 1 at w = 0; ``em1`` = e^w - 1 if known."""
     w = np.asarray(w, dtype=complex)
-    return np.divide(_expm1(w), w, out=np.ones_like(w), where=w != 0.0)
+    if em1 is None:
+        em1 = _expm1(w)
+    return np.divide(em1, w, out=np.ones_like(w), where=w != 0.0)
 
 
 class PiecewiseSignal:
@@ -89,9 +118,9 @@ class PiecewiseSignal:
             raise SignalError("need at least two breakpoints")
         if bp[0] != 0.0:
             raise SignalError("signal windows start at s = 0")
-        if np.any(np.diff(bp) <= 0.0):
+        if (bp[1:] - bp[:-1] <= 0.0).any():  # np.diff's sign test, without its overhead
             raise SignalError("breakpoints must be strictly increasing")
-        if not np.all(np.isfinite(bp)):
+        if not np.isfinite(bp).all():
             raise SignalError("breakpoints must be finite")
         if kind not in ("piecewise", "probe"):
             raise SignalError(f"unknown signal kind {kind!r}")
@@ -104,7 +133,7 @@ class PiecewiseSignal:
         else:
             if vals.ndim not in (1, 2) or vals.shape[0] != len(bp) - 1:
                 raise SignalError("need one value row per piece")
-        if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
+        if not np.isfinite(vals).all():
             raise SignalError("values must be finite")
         if per_mode and vals.ndim != 2:
             raise SignalError("per-mode signals need a (pieces, modes) value array")
@@ -161,13 +190,28 @@ class PiecewiseSignal:
         if tau == 0.0:
             return self
         if self.kind == "probe":
-            amp = self.values[0] * np.exp(-self.probe_mu * tau)
             return PiecewiseSignal(
-                [0.0, self.horizon - tau], [amp], "probe", self.probe_mu
+                [0.0, self.horizon - tau], [self._probe_value(tau)], "probe",
+                self.probe_mu,
             )
         k = int(np.searchsorted(self.breakpoints, tau, side="right")) - 1
-        bp = np.concatenate([[0.0], self.breakpoints[k + 1 :] - tau])
+        bp = self.breakpoints[k:] - tau
+        bp[0] = 0.0
         return PiecewiseSignal(bp, self.values[k:], "piecewise", per_mode=self.per_mode)
+
+    def _probe_value(self, s: float) -> complex:
+        """u(s) = a e^{-μs} of a probe, or a SignalError naming the probe."""
+        a = complex(self.values[0])
+        if a == 0.0:
+            return a
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = complex(a * np.exp(-self.probe_mu * s))
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise SignalError(
+                f"probe value a*e^(-mu*s) overflows for a={a}, mu={self.probe_mu} "
+                f"at s={s:g}"
+            )
+        return value
 
     def scale_time(self, c: float) -> "PiecewiseSignal":
         """v(s) = u(s/c) on [0, c*horizon] (c > 0)."""
@@ -182,9 +226,16 @@ class PiecewiseSignal:
         )
 
     def reversed_signal(self) -> "PiecewiseSignal":
-        """u(t - ·) on the same window (probe kind has no closed reversal)."""
+        """u(t - ·) on the same window.
+
+        A probe reverses in closed form: u(t - s) = (a e^{-μt}) e^{μs} is the
+        probe of amplitude a e^{-μt} and parameter -μ.
+        """
         if self.kind == "probe":
-            raise SignalError("reverse a probe by sampling it piecewise first")
+            return PiecewiseSignal(
+                self.breakpoints, [self._probe_value(self.horizon)], "probe",
+                -self.probe_mu,
+            )
         bp = self.horizon - self.breakpoints[::-1]
         bp[0] = 0.0
         return PiecewiseSignal(
@@ -205,7 +256,10 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
     """∫₀ᵗ e^{λ_n s} u(s) ds for every mode, in closed form.
 
     Returns shape (n,) for scalar-channel and per-mode signals (the latter
-    pairs channel n with λ_n) and (n, m) for m-channel signals.
+    pairs channel n with λ_n) and (n, m) for m-channel signals.  Piecewise
+    signals are summed in Horner form from the last piece back,
+    ``acc ← (acc + z_k acc) + Δ_k h(λΔ_k) v_k`` with ``z_k = e^{λΔ_k} - 1``,
+    in O(n·m·K) time and O(n·m) memory (see the module docstring).
     """
     lams = np.asarray(lams, dtype=complex)
     if u.kind == "probe":
@@ -220,14 +274,28 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
                 f"on horizon {u.horizon:g}: e^((lambda-mu)t) overflows"
             )
         return out
-    E = _expdiff_matrix(lams, u.breakpoints)
-    if u.values.ndim == 1:
-        return E @ u.values
-    if u.per_mode:
-        if u.values.shape[1] != lams.size:
-            raise SignalError("per-mode signal does not match the mode count")
-        return np.einsum("nk,kn->n", E, u.values)
-    return E @ u.values
+    lams = lams.reshape(-1)
+    vals = u.values
+    if u.per_mode and vals.shape[1] != lams.size:
+        raise SignalError("per-mode signal does not match the mode count")
+    outer = vals.ndim == 2 and not u.per_mode
+    acc = np.zeros(lams.shape + vals.shape[1:] if outer else lams.shape, dtype=complex)
+    widths = np.diff(u.breakpoints)
+    step = max(1, _BLOCK_ENTRIES // max(lams.size, 1))
+    with np.errstate(under="ignore"):
+        for hi in range(len(widths), 0, -step):
+            lo = max(0, hi - step)
+            w = np.multiply.outer(widths[lo:hi], lams)
+            z = _expm1(w)
+            c = widths[lo:hi, None] * _h(w, z)
+            if outer:
+                z, cv = z[:, :, None], c[:, :, None] * vals[lo:hi, None, :]
+            else:
+                cv = c * (vals[lo:hi] if u.per_mode else vals[lo:hi, None])
+            for zk, cvk in zip(z[::-1], cv[::-1]):
+                acc += zk * acc
+                acc += cvk
+    return acc
 
 
 def _validate_gammas(gammas: np.ndarray) -> None:

@@ -204,8 +204,15 @@ def semigroup_apply(A: DiagonalGenerator, t: float, x: SpectralVector) -> Spectr
         raise SpectralError("semigroup time must be finite and nonnegative")
     if t == 0.0:
         return x
+    w = A.eigenvalues * t
     with np.errstate(under="ignore"):
-        factors = np.exp(A.eigenvalues * t)
+        # numpy's complex exp is slow where it underflows: those factors are 0
+        live = np.exp(w.real) != 0.0
+        if 2 * int(np.count_nonzero(live)) >= live.size:
+            factors = np.exp(w)
+        else:
+            factors = np.zeros_like(w)
+            factors[live] = np.exp(w[live])
     return SpectralVector(x.coefficients * factors, x.scale)
 
 

@@ -308,6 +308,32 @@ def test_simulate_trajectory_csv(tmp_path):
     assert report["results"]["peak_norm"] >= 1.0
 
 
+def test_simulate_runs_a_probe_against_the_closed_form(tmp_path):
+    # x_n(t) = e^{lam t} x0_n + b_n a t e^{-mu t} h((lam + mu) t), h(w) = (e^w - 1)/w
+    lam = np.array([-1.0 + 0.5j, -3.0, -0.2 + 4.0j])
+    b = np.array([1.0, 0.5 + 0.25j, -0.75])
+    x0 = np.array([1.0, 0.5j, 0.3])
+    a, mu, horizon = 0.8 - 0.3j, -0.5 + 1.0j, 2.0
+    scn = _write(tmp_path, "sim.json", {
+        "generator": {"eigenvalues": [[z.real, z.imag] for z in lam]},
+        "input_operator": {"kind": "columns", "matrix": [[[z.real, z.imag]] for z in b]},
+        "signal": {"kind": "probe", "amplitude": [a.real, a.imag],
+                   "mu": [mu.real, mu.imag], "horizon": horizon},
+        "initial_state": [[z.real, z.imag] for z in x0],
+        "n_time_samples": 9,
+    })
+    out = tmp_path / "out"
+    assert run("simulate", scn, out=str(out)) == 0
+    rows = [r.split(",") for r in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    for t_text, norm_text in rows:
+        t = float(t_text)
+        w = (lam + mu) * t
+        h = np.where(w == 0.0, 1.0, np.expm1(w) / np.where(w == 0.0, 1.0, w))
+        x = np.exp(lam * t) * x0 + b * a * t * np.exp(-mu * t) * h
+        assert float(norm_text) == pytest.approx(np.linalg.norm(x), rel=1e-13)
+
+
 def test_orlicz_norm_path(tmp_path):
     scn = _write(tmp_path, "norm.json", {
         "young": {"power": 2.0},

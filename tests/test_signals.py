@@ -10,6 +10,7 @@ import pytest
 from admlab.signals import (
     PiecewiseSignal,
     SignalError,
+    _expm1,
     counterexample_input,
     counterexample_intervals,
     mode_integrals,
@@ -139,6 +140,73 @@ def test_probe_closed_form_and_sup_norm():
     assert shifted.kind == "probe"
     assert shifted.values[0] == pytest.approx(amp * math.exp(0.25), rel=1e-14)
     assert shifted.horizon == pytest.approx(1.5)
+
+
+def _expm1_full_formula(w):
+    """Re and Im of e^w - 1 by the full-array formula, every entry computed."""
+    em1 = np.expm1(w.real)
+    ex = em1 + 1.0
+    half = np.sin(0.5 * w.imag)
+    return em1 - 2.0 * ex * half * half, ex * np.sin(w.imag)
+
+
+@pytest.mark.parametrize("dead_share", [0.0, 0.3, 0.9, 1.0])
+def test_expm1_skips_underflowed_entries_bit_for_bit(dead_share):
+    # all live, mixed (full formula), mostly underflowed (live entries only)
+    # and all underflowed; imaginary parts up to 1e4, where sin is slow
+    rng = np.random.default_rng(21)
+    n = 4000
+    re = rng.uniform(-30.0, 5.0, n)
+    dead = rng.random(n) < dead_share
+    re[dead] = rng.uniform(-5000.0, -746.0, int(dead.sum()))
+    w = (re + 1j * rng.uniform(-1e4, 1e4, n)).reshape(40, 100)
+    with np.errstate(under="ignore"):
+        want_re, want_im = _expm1_full_formula(w)
+        got = _expm1(w)
+    assert got.shape == w.shape
+    assert np.array_equal(got.real, want_re)
+    nonzero = want_im != 0.0
+    assert np.array_equal(got.imag[nonzero], want_im[nonzero])
+    assert np.all(got.imag[~nonzero] == 0.0)  # up to the sign of zero
+    assert np.all(got.real[dead.reshape(w.shape)] == -1.0)
+
+
+def test_expm1_of_a_scalar():
+    assert _expm1(0.0) == 0.0
+    assert _expm1(-800.0 + 3.0j) == -1.0
+    tiny = _expm1(1e-20j)  # cos y - 1 + i sin y, both parts to full accuracy
+    assert tiny.real == pytest.approx(-5e-41, rel=1e-15) and tiny.imag == 1e-20
+
+
+def test_reversed_probe_is_the_closed_form_probe():
+    # u(t - s) = (a e^{-mu t}) e^{mu s}: amplitude a e^{-mu t}, parameter -mu
+    amp, mu, t = 1.3 - 0.4j, -0.5 + 2.0j, 2.0
+    probe = PiecewiseSignal([0.0, t], [amp], "probe", mu)
+    rev = probe.reversed_signal()
+    assert rev.kind == "probe" and rev.horizon == t and rev.probe_mu == -mu
+    for s in (0.0, 0.3, 1.7, t):
+        assert rev.values[0] * np.exp(-rev.probe_mu * s) == pytest.approx(
+            amp * np.exp(-mu * (t - s)), rel=1e-14
+        )
+    back = rev.reversed_signal()
+    assert back.probe_mu == mu and back.values[0] == pytest.approx(amp, rel=1e-14)
+    # the reversed probe integrates to the mild-solution kernel in closed form
+    for lam in MODES:
+        expect = amp * (np.exp(lam * t) - np.exp(-mu * t)) / (lam + mu)
+        assert mode_integrals([lam], rev)[0] == pytest.approx(expect, rel=1e-12)
+
+
+def test_overflowing_probe_value_raises_a_named_error():
+    probe = PiecewiseSignal([0.0, 1.0], [2.0], "probe", probe_mu=-800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SignalError, match=r"probe value .*mu=\(-800\+0j\) at s=1"):
+            probe.reversed_signal()
+        with pytest.raises(SignalError, match=r"probe value .*at s=0.95"):
+            probe.shift_origin(0.95)
+    assert probe.shift_origin(0.5).values[0] == pytest.approx(2.0 * math.exp(400.0))
+    zero = PiecewiseSignal([0.0, 1.0], [0.0], "probe", probe_mu=-800.0)
+    assert zero.reversed_signal().values[0] == 0.0
 
 
 def test_reversed_signal_pointwise():

@@ -57,6 +57,23 @@ def test_semigroup_law():
         semigroup_apply(A, -0.1, x)
 
 
+@pytest.mark.parametrize("dead_share", [0.0, 0.3, 0.9])
+def test_semigroup_skips_underflowed_modes(dead_share):
+    # e^{lambda t} is 0 where Re(lambda t) underflows; live modes keep numpy's bits
+    rng = np.random.default_rng(5)
+    n = 2000
+    re = -rng.uniform(0.1, 40.0, n)
+    dead = rng.random(n) < dead_share
+    re[dead] = -rng.uniform(800.0, 5000.0, int(dead.sum()))
+    A = DiagonalGenerator(re + 1j * rng.uniform(-1e3, 1e3, n))
+    x = _rand_vec(rng, A)
+    got = semigroup_apply(A, 1.0, x).coefficients
+    with np.errstate(under="ignore"):
+        want = x.coefficients * np.exp(A.eigenvalues)
+    assert np.array_equal(got[~dead], want[~dead])
+    assert np.all(got[dead] == 0.0) and np.all(want[dead] == 0.0)
+
+
 def test_resolvent_identity():
     A = DiagonalGenerator(LAMS)
     rng = np.random.default_rng(1)
