@@ -223,12 +223,16 @@ def trajectory(
     path at times t_1 < … < t_T by the semigroup property,
     ``x(t_j) = trajectory(A, B, x(t_{j-1}), u.shift_origin(t_{j-1}),
     t_j - t_{j-1})``: each piece is then integrated once, O(n·(K+T)) in all.
+
+    The state is tagged ``Xm1`` when either part is (it left X numerically,
+    see :func:`input_map`), else ``X``.
     """
     if not 0.0 < t <= u.horizon:
         raise AdmissibilityError("evaluation time must lie in (0, horizon]")
     free = semigroup_apply(A, t, x0)
     forced = input_map(A, B, u.restrict(t).reversed_signal(), t)
-    return SpectralVector(free.coefficients + forced.coefficients, "X")
+    scale = "Xm1" if "Xm1" in (free.scale, forced.scale) else "X"
+    return SpectralVector(free.coefficients + forced.coefficients, scale)
 
 
 def output_map_l1(

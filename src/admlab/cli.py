@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from importlib import resources
 from pathlib import Path
 
@@ -335,13 +336,26 @@ def _write_atomic(path: Path, text: str) -> None:
         raise OSError(f"while writing {path}: {exc}") from exc
 
 
-def emit_plotdata(outdir: Path, jobs: list[tuple[str, str, list[tuple]]]) -> list[Path]:
-    """Write one CSV per curve: (filename, header, rows).  Empty rows still
-    produce the header line, so downstream plotting sees a well-formed file."""
+def _csv_cells(column) -> Iterable[str]:
+    """One CSV column as text: a column of ``str`` as it is, any numeric
+    column as ``repr(float(c))`` of each entry, converted in one numpy pass."""
+    if len(column) and isinstance(column[0], str):
+        return column
+    return map(repr, np.asarray(column, dtype=float).tolist())
+
+
+def emit_plotdata(outdir: Path, jobs: list[tuple[str, str, list]]) -> list[Path]:
+    """Write one CSV per curve: (filename, header, columns).
+
+    ``columns`` lists the table column by column (equal lengths; arrays,
+    lists or ranges).  Numeric cells are written as ``repr(float(c))``, so
+    ints, numpy floats, ``inf`` and ``-0.0`` print as Python floats do.  An
+    empty table still produces the header line, so downstream plotting sees
+    a well-formed file."""
     paths = []
-    for name, header, rows in jobs:
+    for name, header, columns in jobs:
         lines = [header]
-        lines.extend(",".join(str(cell) for cell in row) for row in rows)
+        lines.extend(map(",".join, zip(*map(_csv_cells, columns))))
         path = outdir / name
         _write_atomic(path, "\n".join(lines) + "\n")
         paths.append(path)
@@ -383,13 +397,9 @@ def _report_text(command, scenario_hash, seed, results) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (results, csv_jobs, summary_lines)
+# Command handlers: each returns (results, csv_jobs, summary_lines); a CSV job
+# is (filename, header, columns), see emit_plotdata.
 # ---------------------------------------------------------------------------
-
-
-def _repr_row(*cells):
-    return tuple(repr(float(c)) if isinstance(c, (int, float, np.floating)) else c
-                 for c in cells)
 
 
 def _cmd_orlicz_norm(scn, seed, modes):
@@ -427,8 +437,12 @@ def _cmd_simulate(scn, seed, modes):
     x = x0
     for prev, t in zip(ts[:-1], ts[1:]):
         x = trajectory(A, B, x, u.shift_origin(float(prev)), float(t - prev))
+        if x.scale == "Xm1":
+            raise SignalError(
+                f"the state left X numerically at t = {float(t)!r} "
+                f"under the {u.kind} signal"
+            )
         norms.append(space_norm(A, x))
-    rows = [_repr_row(t, v) for t, v in zip(ts, norms)]
     results = {
         "horizon": horizon,
         "n_time_samples": n,
@@ -436,7 +450,7 @@ def _cmd_simulate(scn, seed, modes):
         "final_norm": norms[-1],
         "peak_norm": max(norms),
     }
-    jobs = [("trajectory.csv", "t,state_norm", rows)]
+    jobs = [("trajectory.csv", "t,state_norm", [ts, norms])]
     return results, jobs, [
         f"simulate: ||x({horizon:g})|| = {norms[-1]:.12g} (peak {max(norms):.12g})"
     ]
@@ -450,10 +464,8 @@ def _cmd_adm(scn, seed, modes):
     reports = [
         linfty_bounds(A, B, t, n_pieces=n_pieces, seed=seed) for t in horizons
     ]
-    rows = [
-        _repr_row(r.t, r.space, r.lower, r.upper, r.route) for r in reports
-    ]
-    jobs = [("admissibility.csv", "t,Z,lower,upper,route", rows)]
+    columns = list(zip(*((r.t, r.space, r.lower, r.upper, r.route) for r in reports)))
+    jobs = [("admissibility.csv", "t,Z,lower,upper,route", columns)]
     lines = [
         f"adm: t={r.t:g} lower={r.lower:.6g} upper={r.upper:.6g} route={r.route}"
         for r in reports
@@ -462,13 +474,8 @@ def _cmd_adm(scn, seed, modes):
     if scn.get("zero_class"):
         zreports, flags = zero_class_profile(A, B, horizons, seed=seed)
         results["zero_class"] = flags
-        jobs.append(
-            (
-                "zero_class.csv",
-                "t,lower",
-                [_repr_row(r.t, r.lower) for r in zreports],
-            )
-        )
+        columns = list(zip(*((r.t, r.lower) for r in zreports)))
+        jobs.append(("zero_class.csv", "t,lower", columns))
         lines.append(
             "adm: zero-class plausible={zero_class_plausible} "
             "obstructed={obstructed}".format(**flags)
@@ -495,10 +502,9 @@ def _cmd_weiss(scn, seed, modes):
 def _cmd_sqfct(scn, seed, modes):
     A = _generator(scn, "sqfct")
     rep = sqfct_constants(A)
-    rows = [_repr_row(float(n), v) for n, v in enumerate(rep.per_mode)]
     results = rep.to_json()
     results["per_mode"] = results["per_mode"][:16]  # full table lives in the CSV
-    jobs = [("sqfct.csv", "mode,integral", rows)]
+    jobs = [("sqfct.csv", "mode,integral", [range(len(rep.per_mode)), rep.per_mode])]
     line = (
         f"sqfct: k={rep.k_lower:.12g} K={rep.K_upper:.12g} "
         f"(quad err {rep.quad_max_rel_err:.2e})"
@@ -513,14 +519,9 @@ def _cmd_counterexample(scn, seed, modes):
     k = float(scn.get("k_bound", 0.0))
     res = counterexample_run(k, M, scn.get("checkpoints"))
     rows = res.pop("rows")
-    div_rows = [
-        _repr_row(float(m), s, th)
-        for m, s, th in zip(rows["m"], rows["S_m"], rows["theory"])
-    ]
-    int_rows = [_repr_row(float(m), a, b) for m, a, b in res.pop("intervals_head")]
     jobs = [
-        ("divergence.csv", "M,S_M,theory", div_rows),
-        ("intervals.csv", "m,a,b", int_rows),
+        ("divergence.csv", "M,S_M,theory", [rows["m"], rows["S_m"], rows["theory"]]),
+        ("intervals.csv", "m,a,b", list(zip(*res.pop("intervals_head")))),
     ]
     s_final = float(rows["S_m"][-1])
     res["S_final"] = s_final
@@ -590,11 +591,10 @@ def _cmd_probe(scn, seed, modes):
         Ns = [n for n in Ns if n <= modes] or [modes]
     t_grid = [float(t) for t in _need(scn, "t_grid", "probe-boundedness")]
     res = boundedness_probe(rule, Ns, t_grid)
-    rows = [
-        _repr_row(float(r["N"]), r["t"], r["value"], str(r["scale_matched"]))
-        for r in res["rows"]
-    ]
-    jobs = [("probe.csv", "N,t,value,scale_matched", rows)]
+    columns = list(zip(*(
+        (r["N"], r["t"], r["value"], str(r["scale_matched"])) for r in res["rows"]
+    )))
+    jobs = [("probe.csv", "N,t,value,scale_matched", columns)]
     line = (
         f"probe-boundedness: uniform_floor={res['uniform_floor']} "
         f"degrades={res['zero_class_degrades']}"

@@ -87,6 +87,20 @@ def test_trajectory_closed_form_and_horizon_guard():
         trajectory(A, InputOperator.aminus_x0(x0), state, _ones(1.0), 1.5)
 
 
+def test_trajectory_tags_a_state_that_left_x():
+    A = DiagonalGenerator([-1.0, -2.0])
+    x0 = SpectralVector(np.ones(2, dtype=complex), "X")
+    huge = InputOperator.columns(np.array([[1e300], [0.5]]))
+    with pytest.warns(UserWarning, match="left X numerically"):
+        out = trajectory(A, huge, x0, _ones(1.0), 0.5)
+    assert out.scale == "Xm1"
+    tame = InputOperator.columns(np.array([[1.0], [0.5]]))
+    assert trajectory(A, tame, x0, _ones(1.0), 0.5).scale == "X"
+    # a free part already outside X keeps the tag
+    assert trajectory(A, tame, SpectralVector(out.coefficients, "Xm1"),
+                      _ones(1.0), 0.5).scale == "Xm1"
+
+
 def test_aminus_full_needs_per_mode_signal():
     A = DiagonalGenerator(LAMS)
     with pytest.raises(AdmissibilityError):

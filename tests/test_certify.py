@@ -12,8 +12,10 @@ from admlab.admissibility import (
     infinite_time_sup,
     input_map,
 )
+from admlab import certify
 from admlab.certify import (
     CertifyError,
+    _envelope_trials,
     boundedness_probe,
     counterexample_run,
     iiss_certificate,
@@ -64,6 +66,41 @@ def test_weiss_candidate_points_reach_tiny_modes():
     assert rep.closed_form == pytest.approx(1.0, rel=1e-12)
     assert rep.value >= 0.999
     assert rep.n_candidates > 0
+
+
+WEISS_LAM = np.array([-1e-20 + 1j, -1.0, -2.0 + 3j, -0.5 - 0.7j])
+WEISS_W = np.array([1.0, 0.5, 2.0, 1.5])
+
+
+@pytest.mark.parametrize("B, B_eff", [
+    # B_eff maps an orthonormal input basis to mode coefficients
+    (InputOperator.aminus_full(), np.diag(WEISS_LAM / np.sqrt(WEISS_W))),
+    (InputOperator.aminus_x0([1.0, 0.5j, -0.3, 0.2 + 0.1j]),
+     (WEISS_LAM * np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j]))[:, None]),
+    (InputOperator.columns(np.array([[1, 0.5], [0.2j, 1], [0.3, -0.4], [1, 1j]])),
+     np.array([[1, 0.5], [0.2j, 1], [0.3, -0.4], [1, 1j]])),
+], ids=["aminus_full", "aminus_x0", "columns"])
+def test_weiss_skips_a_point_on_the_spectrum_and_matches_per_point_norms(B, B_eff):
+    # At p = 2 the candidate for lambda = -1e-20 + i is 1e-20 + i, 2e-20 away
+    # from the spectrum: the guard must drop it and only it.
+    A = DiagonalGenerator(WEISS_LAM, weights=WEISS_W)
+    rep = weiss_check(A, B, 2)
+    assert rep.skipped == 1
+    re = np.geomspace(1e-6, 1e6, 25)
+    im_half = np.geomspace(1e-6, 1e6, 25)
+    im = np.concatenate([-im_half[::-1], [0.0], im_half])
+    pts = np.concatenate([(re[:, None] + 1j * im[None, :]).ravel(),
+                          -WEISS_LAM.real + 1j * WEISS_LAM.imag])
+    sw = np.sqrt(WEISS_W)[:, None]
+    best, skipped = 0.0, 0
+    for mu in pts:
+        if np.min(np.abs(mu - WEISS_LAM)) <= 1e-12 * (1.0 + abs(mu)):
+            skipped += 1
+            continue
+        op = sw * B_eff / (mu - WEISS_LAM)[:, None]
+        best = max(best, math.sqrt(2.0 * mu.real) * np.linalg.norm(op, 2))
+    assert skipped == 1
+    assert rep.value == pytest.approx(best, rel=1e-13)
 
 
 def test_sqfct_constants():
@@ -165,6 +202,26 @@ def test_iss_certificate_clean_run():
     assert out["bundle"]["M"] >= 1.0
     assert out["bundle"]["omega"] == pytest.approx(1.0)
     assert math.isfinite(out["bundle"]["mu_slope"])
+
+
+def test_envelope_counts_a_state_outside_x_as_a_violation(monkeypatch):
+    # |b| = 1e300 makes every forced state's norm overflow: input_map tags it
+    # Xm1, and the envelope must count it as lhs = inf without measuring it.
+    A = DiagonalGenerator([-1.0, -2.0])
+    B = InputOperator.columns(np.array([[1e300], [0.5]]))
+    measured = certify.space_norm
+
+    def space_norm(A, x):
+        assert x.scale != "Xm1", "took the norm of a state outside X"
+        return measured(A, x)
+
+    monkeypatch.setattr(certify, "space_norm", space_norm)
+    with pytest.warns(UserWarning, match="left X numerically"):
+        max_ratio, violations = _envelope_trials(
+            A, B, lambda u: 1.0, n_trials=2, horizon=1.0, seed=0, n_times=3)
+    assert max_ratio == math.inf
+    assert len(violations) == 6
+    assert all(v["lhs"] == math.inf for v in violations)
 
 
 def test_iss_certificate_undersized_gain_raises():

@@ -169,6 +169,35 @@ def test_emit_plotdata_header_only(tmp_path):
     assert paths[0].read_text() == "a,b\n"
 
 
+def _row_oracle(row):
+    """The row formula the column-wise writer replaced."""
+    return ",".join(
+        repr(float(c)) if isinstance(c, (int, float, np.floating)) else c for c in row
+    )
+
+
+def test_emit_plotdata_matches_the_row_formula_byte_for_byte(tmp_path):
+    numbers = [0, 1, -7, 2**53 + 1, 2**63 + 12345, 3**40, np.float64(0.1),
+               np.float64(1e-310), 5e-324, -0.0, np.float64(-0.0), np.inf, -np.inf,
+               1.0 / 3.0, 1e22, 123456789.0, np.float64(2.5e-8)]
+    n = len(numbers)
+    words = [["Linf", "L2", "L1"][i % 3] for i in range(n)]
+    flags = [str(i % 2 == 0) for i in range(n)]
+    table = [
+        range(n),
+        numbers,
+        np.asarray(numbers[::-1], dtype=float),
+        words,
+        [float(v) for v in numbers],
+        flags,
+    ]
+    emit_plotdata(tmp_path, [("mixed.csv", "a,b,c,d,e,f", table),
+                             ("empty.csv", "a", [[]])])
+    expected = "\n".join(["a,b,c,d,e,f"] + [_row_oracle(r) for r in zip(*table)]) + "\n"
+    assert (tmp_path / "mixed.csv").read_bytes() == expected.encode()
+    assert (tmp_path / "empty.csv").read_text() == "a\n"
+
+
 def test_counterexample_outputs_and_modes_flag(tmp_path):
     scn = _write(tmp_path, "ce.json", CE_SCENARIO)
     out = tmp_path / "out"
@@ -418,6 +447,22 @@ def test_overflowing_probe_in_simulate_exits_1(tmp_path, capsys):
     assert main(["simulate", "--scenario", scn, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "probe" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_exits_1_when_the_state_leaves_x(tmp_path, capsys):
+    scn = _write(tmp_path, "sim.json", {
+        "generator": {"eigenvalues": [[-1.0, 0.0], [-2.0, 0.0]]},
+        "input_operator": {"kind": "columns", "matrix": [[1e300], [0.5]]},
+        "signal": {"breakpoints": [0.0, 0.5, 1.0], "values": [1.0, -2.0]},
+        "n_time_samples": 5,
+    })
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="left X numerically"):
+        assert main(["simulate", "--scenario", scn, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: the state left X numerically at t = 0.25 under the piecewise signal\n")
     assert list(out.iterdir()) == []
 
 

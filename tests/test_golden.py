@@ -4,8 +4,9 @@ Each case directory under ``tests/golden/`` holds a ``scenario.json`` and the
 files one ``cli.run`` of it wrote (the report and its CSVs, or the violation
 dump).  The test reruns the command on the committed scenario and compares
 every file byte for byte, so a refactor that moves a printed number in its
-last bit fails here.  ``counterexample`` is left out: its report embeds
-``runtime_s``.
+last bit fails here.  The ``counterexample`` report embeds its wall time
+``runtime_s``; that one value is masked (:func:`_masked`) and every other byte
+of the case is compared.
 
 Regenerate the golden files (only when a change of output is intended) with
 
@@ -13,7 +14,8 @@ Regenerate the golden files (only when a change of output is intended) with
 
 Before it overwrites anything, the script prints one line per changed file:
 how many numbers moved, the largest relative move, and a flag when bytes
-outside a number changed too (or a file appeared or vanished).
+outside a number changed too (or a file appeared or vanished).  A file that
+differs only in its masked ``runtime_s`` keeps its committed bytes.
 """
 
 from __future__ import annotations
@@ -137,6 +139,8 @@ def _scenarios() -> dict[str, tuple[str, dict]]:
             "young": {"power": 1.5},
             "profile": {"kind": "samples", "edges": unit_edges.tolist(),
                         "values": rng.uniform(0.0, 2.0, 16).tolist()}}),
+        "counterexample-complex": ("counterexample", {
+            "M": 2000, "k_bound": 0.5, "checkpoints": [1, 10, 250, 2000]}),
         "probe-boundedness": ("probe-boundedness", {
             "probe_rule": {"kind": "ray", "base": -0.8, "exponent": 1.0, "angle": 0.6,
                            "count": 1},
@@ -152,8 +156,18 @@ def _run_case(name: str, outdir: Path) -> int:
     return run(CASES[name], scenario, out=str(outdir), quiet=True)
 
 
+_RUNTIME = re.compile(rb'("runtime_s": )[^,\n]+')
+
+
+def _masked(name: str, data: bytes) -> bytes:
+    """``data`` with the counterexample report's wall time blanked out."""
+    if name.endswith("counterexample.report.json"):
+        return _RUNTIME.sub(rb"\1<masked>", data)
+    return data
+
+
 def _outputs(directory: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())
+    return {p.name: _masked(p.name, p.read_bytes()) for p in sorted(directory.iterdir())
             if p.name != "scenario.json"}
 
 
@@ -185,7 +199,7 @@ def _moves(old: bytes, new: bytes) -> tuple[int, float] | None:
 def _report_moves(old_dir: Path, new_dir: Path) -> None:
     """Print one line per file that differs between two golden trees."""
     def files(d: Path) -> dict[str, bytes]:
-        return {str(p.relative_to(d)): p.read_bytes()
+        return {str(p.relative_to(d)): _masked(p.name, p.read_bytes())
                 for p in sorted(d.rglob("*")) if p.is_file()}
 
     old, new = files(old_dir), files(new_dir)
@@ -208,6 +222,13 @@ def test_regeneration_report_tells_number_moves_from_other_changes():
     assert _moves(b'{"a": [1]}', b'{"a": [1, 2]}') is None
 
 
+def test_mask_blanks_only_the_counterexample_runtime():
+    report = b'{\n  "runtime_s": 0.0123,\n  "sigma": 0.5\n}\n'
+    assert _masked("counterexample.report.json", report) == (
+        b'{\n  "runtime_s": <masked>,\n  "sigma": 0.5\n}\n')
+    assert _masked("adm.report.json", report) == report
+
+
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp) / "golden"
@@ -218,6 +239,11 @@ def regenerate() -> None:
             run(CASES[name], str(case / "scenario.json"), out=str(case), quiet=True)
         if GOLDEN.exists():
             _report_moves(GOLDEN, fresh)
+            for path in fresh.rglob("counterexample.report.json"):
+                kept = GOLDEN / path.relative_to(fresh)
+                if kept.exists() and _masked(path.name, kept.read_bytes()) == _masked(
+                        path.name, path.read_bytes()):
+                    shutil.copyfile(kept, path)
             shutil.rmtree(GOLDEN)
         shutil.copytree(fresh, GOLDEN)
 
