@@ -145,6 +145,27 @@ def _scenarios() -> dict[str, tuple[str, dict]]:
             "probe_rule": {"kind": "ray", "base": -0.8, "exponent": 1.0, "angle": 0.6,
                            "count": 1},
             "Ns": [4, 16, 64], "t_grid": [1e-3, 1e-2, 1e-1]}),
+        # Cases below draw from the RNG after every case above, so adding one
+        # here leaves the earlier scenarios as they were.
+        "simulate-probe": ("simulate", {
+            "generator": {"eigenvalues": _pairs(lam16)},
+            "input_operator": {"kind": "aminus_x0", "x0": _pairs(x0_16)},
+            "signal": {"kind": "probe", "amplitude": [1.0, -0.5], "mu": [1.5, 3.0],
+                       "horizon": 2.5},
+            "initial_state": _pairs(cnormal(16) / np.arange(1, 17)),
+            "n_time_samples": 11,
+        }),
+        "simulate-breakpoint-samples": ("simulate", {
+            "generator": explicit48,
+            "input_operator": cols_op,
+            # the sample grid 0, 0.25, ..., 2 hits five breakpoints and leaves
+            # windows with no interior breakpoint; the signal outlasts the horizon
+            "signal": {"breakpoints": [0.0, 0.25, 0.5, 1.0, 1.25, 2.0, 3.0],
+                       "values": [_pairs(r) for r in cnormal((6, 3))]},
+            "initial_state": _pairs(cnormal(48) / k),
+            "horizon": 2.0,
+            "n_time_samples": 9,
+        }),
     }
 
 
