@@ -59,6 +59,7 @@ from .signals import (
     PiecewiseSignal,
     _expdiff_matrix,
     _expm1,
+    _horner,
     mode_integrals,
     random_signal,
     worst_case_phases,
@@ -66,8 +67,10 @@ from .signals import (
 from .spectral import (
     DiagonalGenerator,
     SpectralVector,
+    _check_aligned,
+    _semigroup_factors,
+    _weighted_norm,
     frac_power_apply,
-    semigroup_apply,
     space_norm,
 )
 
@@ -181,32 +184,104 @@ def input_map(
         raise AdmissibilityError("signal is not defined on all of [0, t]")
     if t < u.horizon:
         u = u.restrict(t)
-    lam = A.eigenvalues
+    coeff = _input_form(A, B, u)(mode_integrals(A.eigenvalues, u))
+    if _left_x(A, coeff):
+        return SpectralVector(coeff, "Xm1")
+    return SpectralVector(coeff, "X")
+
+
+def _input_form(A: DiagonalGenerator, B: InputOperator, u: PiecewiseSignal):
+    """The map from the mode integrals of ``u`` to the coefficients of Phi u,
+    after checking that the channels of ``u`` fit ``B``."""
     if B.kind == "columns":
-        ints = mode_integrals(lam, u)
         if u.values.ndim == 1:
             if B.data.shape[1] != 1:
                 raise AdmissibilityError("scalar signal against a multi-column B")
-            coeff = B.data[:, 0] * ints
-        else:
-            if u.per_mode or u.values.shape[1] != B.data.shape[1]:
-                raise AdmissibilityError("channel count does not match the columns")
-            coeff = np.einsum("nm,nm->n", B.data, ints)
-    elif B.kind == "aminus_x0":
+            col = B.data[:, 0]
+            return lambda ints: col * ints
+        if u.per_mode or u.values.shape[1] != B.data.shape[1]:
+            raise AdmissibilityError("channel count does not match the columns")
+        return lambda ints: np.einsum("nm,nm->n", B.data, ints)
+    if B.kind == "aminus_x0":
         if u.values.ndim != 1:
             raise AdmissibilityError("the rank-one form takes a scalar channel")
-        coeff = lam * B.data * mode_integrals(lam, u)
-    else:
-        if not (u.per_mode or u.kind == "probe"):
-            raise AdmissibilityError(
-                "the full-diagonal form needs a per-mode signal (input space = X)"
-            )
-        coeff = lam * mode_integrals(lam, u)
-    vec = SpectralVector(coeff, "X")
-    if math.isinf(space_norm(A, vec)):
-        warnings.warn("input-map image left X numerically; tagging Xm1", stacklevel=2)
-        vec = SpectralVector(coeff, "Xm1")
-    return vec
+        lam_x0 = A.eigenvalues * B.data
+        return lambda ints: lam_x0 * ints
+    if not (u.per_mode or u.kind == "probe"):
+        raise AdmissibilityError(
+            "the full-diagonal form needs a per-mode signal (input space = X)"
+        )
+    return lambda ints: A.eigenvalues * ints
+
+
+def _left_x(A: DiagonalGenerator, coeff: np.ndarray) -> bool:
+    """True, with a warning, when an input-map image has no finite X norm."""
+    if math.isinf(_weighted_norm(A.weights, coeff)):
+        warnings.warn("input-map image left X numerically; tagging Xm1", stacklevel=3)
+        return True
+    return False
+
+
+class _Stepper:
+    """The mild solution of x' = Ax + Bu sampled at 0 < t_1 < ... < t_T.
+
+    By the semigroup property, with t_0 = 0 and D_j = t_j - t_{j-1},
+
+        ``x(t_j) = e^{lambda D_j} x(t_{j-1}) + Phi_{D_j} v_j``,
+
+    where v_j is u(t_{j-1} + .) reversed on [0, D_j].  The factors
+    e^{lambda D_j} are taken once per distinct span, when the stepper is
+    built, and serve every path sampled at the same times.  For each path
+    (x0, u) the integrals of all T windows come from one pass of the Horner
+    kernel over the windows' pieces, so a path costs O(n·m·(K + T)) for K
+    pieces in O(n·m) memory, with the e^w - 1 of its pieces taken in blocks
+    and no signal or vector object per sample.  Every element goes through the float operations of the
+    chained calls ``trajectory(A, B, x(t_{j-1}), u.shift_origin(t_{j-1}),
+    D_j)``, so the states are bit for bit theirs.  A probe's windows are the
+    probe's own closed-form shifts and reversals.
+    """
+
+    def __init__(self, A: DiagonalGenerator, B: InputOperator, times):
+        B.check_alignment(A)
+        self.A, self.B = A, B
+        self.times = np.asarray(times, dtype=float).reshape(-1)
+        self.prevs = np.concatenate([[0.0], self.times[:-1]])
+        self.spans = self.times - self.prevs
+        if not (np.isfinite(self.spans) & (self.spans > 0.0)).all():
+            raise AdmissibilityError("evaluation time must lie in (0, horizon]")
+        # per distinct span: equispaced samples repeat a few spans in their
+        # last bits (3 for 9 samples, about 20 for 10^5)
+        self.factors = {d: _semigroup_factors(A, d) for d in set(self.spans.tolist())}
+
+    def states(self, x0: np.ndarray, u: PiecewiseSignal, left: bool = False):
+        """Yield (x(t_j) coefficients, left X) for j = 1..T from x(0) = x0.
+
+        ``left`` marks a state that left X (an image tagged ``Xm1``, with the
+        warning of :func:`input_map`); it stays set from that sample on.
+        """
+        if not (self.spans <= u.breakpoints[-1] - self.prevs).all():
+            raise AdmissibilityError("evaluation time must lie in (0, horizon]")
+        for d, (forced, out) in zip(self.spans.tolist(), self._images(u)):
+            left = out or left
+            x = x0 * self.factors[d] + forced
+            yield x, left
+            x0 = x
+
+    def _images(self, u: PiecewiseSignal):
+        """(coefficients, left X) of each window's input-map image, in order."""
+        A, B = self.A, self.B
+        if u.kind == "probe" or len(self.spans) <= 1:
+            # one window gains nothing from blocking; input_map runs the
+            # same Horner kernel on it (and a probe integrates in closed form)
+            for p, d in zip(self.prevs.tolist(), self.spans.tolist()):
+                v = input_map(A, B, u.shift_origin(p).restrict(d).reversed_signal(), d)
+                yield v.coefficients, v.scale == "Xm1"
+            return
+        apply = _input_form(A, B, u)
+        widths, vals, starts = u._windows(self.times)
+        for ints in _horner(A.eigenvalues, widths, vals, u.per_mode, starts):
+            forced = apply(ints)
+            yield forced, _left_x(A, forced)
 
 
 def trajectory(
@@ -218,21 +293,19 @@ def trajectory(
 ) -> SpectralVector:
     """Mild solution x(t) = T(t) x0 + integral_0^t T(t-s) B u(s) ds.
 
-    The forced part is the input map of ``u`` reversed on [0, t], so one call
-    costs O(n·K) for the K pieces of u on [0, t], in O(n·m) memory.  Sample a
-    path at times t_1 < … < t_T by the semigroup property,
-    ``x(t_j) = trajectory(A, B, x(t_{j-1}), u.shift_origin(t_{j-1}),
-    t_j - t_{j-1})``: each piece is then integrated once, O(n·(K+T)) in all.
+    The one-sample case of the package's stepper: the free part is
+    e^{lambda t} x0 and the forced part the input map of ``u`` reversed on
+    [0, t], O(n·K) for the K pieces of u on [0, t], in O(n·m) memory.  The
+    ``iss``/``iiss`` envelopes and ``simulate`` sample whole paths through the
+    same stepper, which carries the state from one sample time to the next
+    and integrates each piece once, O(n·(K+T)) for T samples.
 
     The state is tagged ``Xm1`` when either part is (it left X numerically,
     see :func:`input_map`), else ``X``.
     """
-    if not 0.0 < t <= u.horizon:
-        raise AdmissibilityError("evaluation time must lie in (0, horizon]")
-    free = semigroup_apply(A, t, x0)
-    forced = input_map(A, B, u.restrict(t).reversed_signal(), t)
-    scale = "Xm1" if "Xm1" in (free.scale, forced.scale) else "X"
-    return SpectralVector(free.coefficients + forced.coefficients, scale)
+    _check_aligned(A, x0)
+    (x, left), = _Stepper(A, B, [t]).states(x0.coefficients, u, x0.scale == "Xm1")
+    return SpectralVector(x, "Xm1" if left else "X")
 
 
 def output_map_l1(

@@ -35,8 +35,8 @@ from .admissibility import (
     AdmissibilityError,
     CertificateViolation,
     InputOperator,
+    _Stepper,
     linfty_bounds,
-    trajectory,
     zero_class_profile,
 )
 from .certify import (
@@ -63,6 +63,7 @@ from .spectral import (
     DiagonalGenerator,
     SpectralError,
     SpectralVector,
+    _weighted_norm,
     generator_from_json,
     space_norm,
 )
@@ -434,15 +435,13 @@ def _cmd_simulate(scn, seed, modes):
     n = int(scn.get("n_time_samples", 33))
     ts = np.linspace(0.0, horizon, n)
     norms = [space_norm(A, x0)]
-    x = x0
-    for prev, t in zip(ts[:-1], ts[1:]):
-        x = trajectory(A, B, x, u.shift_origin(float(prev)), float(t - prev))
-        if x.scale == "Xm1":
+    for t, (x, left) in zip(ts[1:], _Stepper(A, B, ts[1:]).states(x0.coefficients, u)):
+        if left:
             raise SignalError(
                 f"the state left X numerically at t = {float(t)!r} "
                 f"under the {u.kind} signal"
             )
-        norms.append(space_norm(A, x))
+        norms.append(_weighted_norm(A.weights, x))
     results = {
         "horizon": horizon,
         "n_time_samples": n,

@@ -17,7 +17,11 @@ e^{λ s_k} = e^{λ s_{k-1}} e^{λ Δ_k}:
 one e^w - 1 per mode and piece, O(n·m·K) time and O(n·m) memory for n modes,
 m channels and K pieces.  No e^{λ s_k} is formed, and the z_k are taken for a
 few pieces at a time (at most ``_BLOCK_ENTRIES`` piece–mode pairs), never as
-an n×K matrix.
+an n×K matrix.  The recursion lives in one kernel, :func:`_horner`, which
+can also restart from zero at given pieces and yield the sum of each run as
+the pass leaves it: a sampled path's T windows (``PiecewiseSignal._windows``)
+are then integrated in one pass, O(n·m·(K+T)) time and O(n·m) memory, with
+blocks that span windows.
 :func:`_expm1`, the package's one complex e^w - 1, keeps full relative
 accuracy near every zero w ∈ 2πiℤ, so no closed form cancels, and skips the
 sines of the modes whose e^{Re w} underflows to 0.
@@ -30,6 +34,7 @@ set, one scalar channel per eigenvalue of the model (full state-space input).
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,7 +51,7 @@ __all__ = [
 ]
 
 _MAX_DENSE_ENTRIES = 4_000_000
-_BLOCK_ENTRIES = 4096  # piece-mode pairs per e^w - 1 call in mode_integrals (64 KB)
+_BLOCK_ENTRIES = 4096  # piece-mode pairs per e^w - 1 call in _horner (64 KB)
 
 
 class SignalError(Exception):
@@ -213,6 +218,44 @@ class PiecewiseSignal:
             )
         return value
 
+    def _windows(self, times) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Widths and value rows of u(p + ·) reversed on [0, t - p] for each
+        pair of consecutive sample times p < t (p = 0 before the first).
+
+        Window j is ``self.shift_origin(p).restrict(t - p).reversed_signal()``
+        with its widths ``np.diff`` of the breakpoints, computed by the same
+        float operations as those three methods, so that integrating it is
+        bit for bit integrating the chained signals.  Returns the windows'
+        widths and values concatenated with the last window first, so that a
+        Horner pass from the last piece back meets the windows in time order,
+        and the index of each window's first piece in that layout.  Piecewise
+        signals only; the caller checks that 0 < t - p <= horizon - p.
+        """
+        bp, vals = self.breakpoints, self.values
+        times = np.asarray(times, dtype=float)
+        prevs = np.concatenate([[0.0], times[:-1]])
+        spans = times - prevs
+        firsts = np.searchsorted(bp, prevs, side="right") - 1
+        stops = np.searchsorted(bp, times)  # later breakpoints are never kept
+        tops, rows = [], []
+        for k, stop, prev, span in zip(firsts.tolist(), stops.tolist(), prevs, spans):
+            s = bp[k:stop] - prev  # shift_origin
+            s[0] = 0.0
+            c = int(np.count_nonzero(s < span))  # restrict keeps these, then span
+            # reversed_signal: breakpoints 0, span - s[c-1], ..., span - s[0]
+            tops.append(span - s[c - 1 :: -1])
+            rows.append(vals[k : k + c][::-1])
+        tops.reverse()
+        rows.reverse()
+        starts = list(accumulate((len(r) for r in rows[:-1]), initial=0))
+        tops = np.concatenate(tops)
+        widths = tops.copy()
+        widths[1:] -= tops[:-1]
+        widths[starts] = tops[starts]  # a window's first width is its top - 0
+        if (widths <= 0.0).any():
+            raise SignalError("breakpoints must be strictly increasing")
+        return widths, np.concatenate(rows), starts
+
     def scale_time(self, c: float) -> "PiecewiseSignal":
         """v(s) = u(s/c) on [0, c*horizon] (c > 0)."""
         if not c > 0.0:
@@ -274,28 +317,49 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
                 f"on horizon {u.horizon:g}: e^((lambda-mu)t) overflows"
             )
         return out
-    lams = lams.reshape(-1)
-    vals = u.values
-    if u.per_mode and vals.shape[1] != lams.size:
+    (acc,) = _horner(lams.reshape(-1), np.diff(u.breakpoints), u.values, u.per_mode)
+    return acc
+
+
+def _horner(lams, widths, vals, per_mode=False, starts=(0,)):
+    """Yield Σ_k v_k e^{λ s_k} Δ_k h(λΔ_k) for each run of pieces, last run first.
+
+    Run i is pieces ``starts[i]`` up to the next start (the last run ends
+    with the last piece), with s_k measured from the run's first piece.  The
+    pieces are taken from the last one back in one pass,
+    ``acc ← (acc + z_k acc) + Δ_k h(λΔ_k) v_k``, and acc restarts from zero
+    after each run, whose sum is yielded as soon as the pass leaves it, so
+    memory stays O(n·m) for any number of runs.  z and h come from one
+    :func:`_expm1` call per block of at most ``_BLOCK_ENTRIES`` piece–mode
+    pairs (one piece when n exceeds it), whichever runs the block spans.
+    Sums are shaped like :func:`mode_integrals`' results.
+    """
+    if per_mode and vals.shape[1] != lams.size:
         raise SignalError("per-mode signal does not match the mode count")
-    outer = vals.ndim == 2 and not u.per_mode
-    acc = np.zeros(lams.shape + vals.shape[1:] if outer else lams.shape, dtype=complex)
-    widths = np.diff(u.breakpoints)
+    outer = vals.ndim == 2 and not per_mode
+    shape = lams.shape + vals.shape[1:] if outer else lams.shape
+    starts = list(starts)
+    acc = np.zeros(shape, dtype=complex)
     step = max(1, _BLOCK_ENTRIES // max(lams.size, 1))
-    with np.errstate(under="ignore"):
-        for hi in range(len(widths), 0, -step):
-            lo = max(0, hi - step)
+    for hi in range(len(widths), 0, -step):
+        lo = max(0, hi - step)
+        done = []
+        with np.errstate(under="ignore"):
             w = np.multiply.outer(widths[lo:hi], lams)
             z = _expm1(w)
             c = widths[lo:hi, None] * _h(w, z)
             if outer:
                 z, cv = z[:, :, None], c[:, :, None] * vals[lo:hi, None, :]
             else:
-                cv = c * (vals[lo:hi] if u.per_mode else vals[lo:hi, None])
-            for zk, cvk in zip(z[::-1], cv[::-1]):
-                acc += zk * acc
-                acc += cvk
-    return acc
+                cv = c * (vals[lo:hi] if per_mode else vals[lo:hi, None])
+            for k in range(hi - lo - 1, -1, -1):
+                acc += z[k] * acc
+                acc += cv[k]
+                if lo + k == starts[-1]:
+                    done.append(acc)
+                    acc = np.zeros(shape, dtype=complex)
+                    starts.pop()
+        yield from done  # outside errstate: the caller runs between yields
 
 
 def _validate_gammas(gammas: np.ndarray) -> None:

@@ -190,11 +190,18 @@ def space_norm(A: DiagonalGenerator, x: SpectralVector) -> float:
         factor = A.weights * (1.0 + np.abs(lam) ** 2)
     else:
         factor = A.weights / np.abs(A.beta - lam) ** 2
+    return _weighted_norm(factor, x.coefficients)
+
+
+def _weighted_norm(factor: np.ndarray, coefficients: np.ndarray) -> float:
+    """sqrt(sum factor_n |x_n|^2), or +inf when any term overflows (or is NaN)."""
+    terms = np.abs(coefficients)
     with np.errstate(over="ignore"):
-        terms = factor * np.abs(x.coefficients) ** 2
-    if np.any(~np.isfinite(terms)) or np.any(terms > _OVERFLOW):
+        terms *= terms
+        terms *= factor
+    if not (terms <= _OVERFLOW).all():
         return math.inf
-    return float(math.sqrt(float(np.sum(terms))))
+    return math.sqrt(terms.sum())
 
 
 def semigroup_apply(A: DiagonalGenerator, t: float, x: SpectralVector) -> SpectralVector:
@@ -204,16 +211,20 @@ def semigroup_apply(A: DiagonalGenerator, t: float, x: SpectralVector) -> Spectr
         raise SpectralError("semigroup time must be finite and nonnegative")
     if t == 0.0:
         return x
+    return SpectralVector(x.coefficients * _semigroup_factors(A, t), x.scale)
+
+
+def _semigroup_factors(A: DiagonalGenerator, t: float) -> np.ndarray:
+    """e^{lambda_n t} for every mode (t > 0 finite)."""
     w = A.eigenvalues * t
     with np.errstate(under="ignore"):
         # numpy's complex exp is slow where it underflows: those factors are 0
         live = np.exp(w.real) != 0.0
         if 2 * int(np.count_nonzero(live)) >= live.size:
-            factors = np.exp(w)
-        else:
-            factors = np.zeros_like(w)
-            factors[live] = np.exp(w[live])
-    return SpectralVector(x.coefficients * factors, x.scale)
+            return np.exp(w)
+        factors = np.zeros_like(w)
+        factors[live] = np.exp(w[live])
+    return factors
 
 
 def resolvent_apply(

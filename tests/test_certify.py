@@ -79,7 +79,10 @@ WEISS_W = np.array([1.0, 0.5, 2.0, 1.5])
      (WEISS_LAM * np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j]))[:, None]),
     (InputOperator.columns(np.array([[1, 0.5], [0.2j, 1], [0.3, -0.4], [1, 1j]])),
      np.array([[1, 0.5], [0.2j, 1], [0.3, -0.4], [1, 1j]])),
-], ids=["aminus_full", "aminus_x0", "columns"])
+    (InputOperator.columns(np.array([[1, 0.5, -2j], [0.2j, 1, 0.1], [0.3, -0.4, 1 + 1j],
+                                     [1, 1j, 0.5]])),
+     np.array([[1, 0.5, -2j], [0.2j, 1, 0.1], [0.3, -0.4, 1 + 1j], [1, 1j, 0.5]])),
+], ids=["aminus_full", "aminus_x0", "columns", "three_columns"])
 def test_weiss_skips_a_point_on_the_spectrum_and_matches_per_point_norms(B, B_eff):
     # At p = 2 the candidate for lambda = -1e-20 + i is 1e-20 + i, 2e-20 away
     # from the spectrum: the guard must drop it and only it.
