@@ -6,10 +6,13 @@ The central object is the input map
 
 with ``B`` either a finite family of columns in the extrapolation space, the
 rank-one unbounded form ``B = A_{-1} x0``, or the full diagonal ``B = A_{-1}``
-(input space = state space).  Time reversal of ``u`` turns this orientation
-into the mild-solution kernel ``integral_0^t T(t-s) B u(s) ds`` and is an
-isometry on every rearrangement-invariant signal norm, so all operator-norm
-bounds apply to both conventions; :func:`trajectory` performs the reversal.
+(input space = state space).  The rank-one form is the one column
+``lambda x0`` of the first kind, so both share every finite-rank formula;
+only the kernel-L1 route, infinite for x0 outside D(A), tells them apart.
+Time reversal of ``u`` turns this orientation into the mild-solution kernel
+``integral_0^t T(t-s) B u(s) ds`` and is an isometry on every
+rearrangement-invariant signal norm, so all operator-norm bounds apply to
+both conventions; :func:`trajectory` performs the reversal.
 
 Norm estimates are two-sided by construction: lower bounds come from explicit
 admissible inputs (phase search over piecewise-constant signals, constant
@@ -47,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from ._frozen import frozen
-from ._quad import QuadratureError, adaptive_interval
+from ._quad import QuadratureError
 from .orlicz import (
     OrliczError,
     SampledFunction,
@@ -82,7 +85,6 @@ __all__ = [
     "AdmissibilityReport",
     "input_map",
     "trajectory",
-    "output_map_l1",
     "l2_adm_constant",
     "linfty_bounds",
     "factorization_check",
@@ -110,6 +112,9 @@ class InputOperator:
     rank-one form), ``"aminus_full"`` (input space = state space).  Columns
     always lie in the extrapolation space at finite truncation; membership in
     ``ran A_{-1}`` is measured by the preimage norms ``||b_n/lambda_n||``.
+    ``A_{-1} x0`` is the one column ``lambda x0``: the finite-rank formulas
+    read both kinds through :meth:`_coefficients` and :meth:`_preimages`, and
+    only the kernel-L1 route (infinite for x0 outside D(A)) tells them apart.
     """
 
     def __init__(self, kind: str, data=None):
@@ -149,23 +154,34 @@ class InputOperator:
         return cls("aminus_full")
 
     def n_inputs(self, A: DiagonalGenerator) -> int:
-        if self.kind == "columns":
-            return int(self.data.shape[1])
-        return 1 if self.kind == "aminus_x0" else A.n_modes
+        if self.kind == "aminus_full":
+            return A.n_modes
+        return 1 if self.data.ndim == 1 else int(self.data.shape[1])
 
     def check_alignment(self, A: DiagonalGenerator) -> None:
         if self.kind != "aminus_full" and self.data.shape[0] != A.n_modes:
             raise AdmissibilityError("operator data does not match the mode count")
 
+    def _coefficients(self, A: DiagonalGenerator) -> np.ndarray:
+        """The n×m extrapolation-space coefficients of a finite-rank B:
+        ``data`` itself, or ``lambda x0`` as one column."""
+        if self.kind == "aminus_x0":
+            return (A.eigenvalues * self.data)[:, None]
+        return self.data
+
+    def _preimages(self, A: DiagonalGenerator) -> np.ndarray:
+        """The n×m preimages A_{-1}^{-1} b_j of a finite-rank B: ``data /
+        lambda``, or x0 itself as one column (exact, not lambda x0 / lambda)."""
+        if self.kind == "aminus_x0":
+            return self.data[:, None]
+        return self.data / A.eigenvalues[:, None]
+
     def preimage_norms(self, A: DiagonalGenerator) -> np.ndarray:
         """||A_{-1}^{-1} b_j||_X per column — the ran A_{-1} membership gauge."""
         self.check_alignment(A)
-        lam = A.eigenvalues
-        if self.kind == "columns":
-            return np.sqrt(A.weights @ (np.abs(self.data / lam[:, None]) ** 2))
-        if self.kind == "aminus_x0":
-            return np.array([math.sqrt(float(A.weights @ np.abs(self.data) ** 2))])
-        return np.sqrt(A.weights)
+        if self.kind == "aminus_full":
+            return np.sqrt(A.weights)
+        return np.sqrt(A.weights @ np.abs(self._preimages(A)) ** 2)
 
 
 def input_map(
@@ -193,25 +209,21 @@ def input_map(
 def _input_form(A: DiagonalGenerator, B: InputOperator, u: PiecewiseSignal):
     """The map from the mode integrals of ``u`` to the coefficients of Phi u,
     after checking that the channels of ``u`` fit ``B``."""
-    if B.kind == "columns":
-        if u.values.ndim == 1:
-            if B.data.shape[1] != 1:
-                raise AdmissibilityError("scalar signal against a multi-column B")
-            col = B.data[:, 0]
-            return lambda ints: col * ints
-        if u.per_mode or u.values.shape[1] != B.data.shape[1]:
-            raise AdmissibilityError("channel count does not match the columns")
-        return lambda ints: np.einsum("nm,nm->n", B.data, ints)
-    if B.kind == "aminus_x0":
-        if u.values.ndim != 1:
-            raise AdmissibilityError("the rank-one form takes a scalar channel")
-        lam_x0 = A.eigenvalues * B.data
-        return lambda ints: lam_x0 * ints
-    if not (u.per_mode or u.kind == "probe"):
-        raise AdmissibilityError(
-            "the full-diagonal form needs a per-mode signal (input space = X)"
-        )
-    return lambda ints: A.eigenvalues * ints
+    if B.kind == "aminus_full":
+        if not (u.per_mode or u.kind == "probe"):
+            raise AdmissibilityError(
+                "the full-diagonal form needs a per-mode signal (input space = X)"
+            )
+        return lambda ints: A.eigenvalues * ints
+    cols = B._coefficients(A)
+    if u.values.ndim == 1:
+        if cols.shape[1] != 1:
+            raise AdmissibilityError("scalar signal against a multi-column B")
+        col = cols[:, 0]
+        return lambda ints: col * ints
+    if u.per_mode or u.values.shape[1] != cols.shape[1]:
+        raise AdmissibilityError("channel count does not match the columns")
+    return lambda ints: np.einsum("nm,nm->n", cols, ints)
 
 
 def _left_x(A: DiagonalGenerator, coeff: np.ndarray) -> bool:
@@ -308,69 +320,6 @@ def trajectory(
     return SpectralVector(x, "Xm1" if left else "X")
 
 
-def output_map_l1(
-    A: DiagonalGenerator,
-    y: SpectralVector,
-    x: SpectralVector,
-    horizon: float = math.inf,
-    rel_tol: float = 1e-8,
-) -> float:
-    """integral_0^horizon |<y, A T(s) x>| ds with the weighted pairing.
-
-    The integrand ``|sum_n w_n conj(y_n) lambda_n e^{lambda_n s} x_n|`` decays
-    like the slowest mode but can behave like 1/s near 0; the quadrature uses
-    geometric subdivision from s = S/2**40 up to the slowest time scale S and
-    doubling extension beyond, each piece integrated adaptively against a
-    budget proportional to its exponential majorant mass.  The extension stops
-    once the closed-form majorant tail drops below the relative tolerance.
-    """
-    coeff = A.weights * np.conj(y.coefficients) * A.eigenvalues * x.coefficients
-    keep = np.abs(coeff) > 0.0
-    if not np.any(keep):
-        return 0.0
-    lam = A.eigenvalues[keep]
-    c = coeff[keep]
-    cmag = np.abs(c)
-    rate = -lam.real
-
-    def f(s: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(np.multiply.outer(s, lam)) @ c)
-
-    def majorant_tail(a: float) -> float:
-        with np.errstate(under="ignore"):
-            return float(np.sum(cmag * np.exp(-rate * a) / rate))
-
-    def majorant_mass(a: float, b: float) -> float:
-        if math.isinf(b):
-            return majorant_tail(a)
-        with np.errstate(under="ignore"):
-            return float(np.sum(cmag * (np.exp(-rate * a) - np.exp(-rate * b)) / rate))
-
-    S = 1.0 / float(np.min(rate))
-    top = min(S, horizon)
-    edges = [0.0]
-    head = top * 2.0**-40
-    while head < top:
-        edges.append(head)
-        head *= 2.0
-    edges.append(top)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        tol = 0.1 * rel_tol * (majorant_mass(a, b) + 1e-300)
-        total += adaptive_interval(f, a, b, tol)
-    a = top
-    for _ in range(80):
-        if a >= horizon or majorant_tail(a) <= rel_tol * max(total, 1e-300):
-            break
-        b = min(2.0 * a, horizon)
-        tol = 0.1 * rel_tol * (majorant_mass(a, b) + 1e-300)
-        total += adaptive_interval(f, a, b, tol)
-        a = b
-    else:
-        raise QuadratureError("exponential tail failed to close the error budget")
-    return total
-
-
 def l2_adm_constant(A: DiagonalGenerator) -> float:
     """Exact constant sup_n (|lambda_n|/(2 |Re lambda_n|))^{1/2}.
 
@@ -441,18 +390,10 @@ class AdmissibilityReport:
 def _fac_column_constants(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
     """2 K2 ||f_j||_{L2(0,oo;X)} per column, f_j(s) = (-A)^{1/2} T(s) A^{-1} b_j."""
     lam = A.eigenvalues
-    K2 = l2_adm_constant(A)
-    if B.kind == "aminus_x0":
-        fsq = float(
-            np.sum(A.weights * np.abs(lam) * np.abs(B.data) ** 2 / (2.0 * np.abs(lam.real)))
-        )
-        return np.array([2.0 * K2 * math.sqrt(fsq)])
-    if B.kind == "columns":
-        fsq = (A.weights / (np.abs(lam) * 2.0 * np.abs(lam.real))) @ np.abs(B.data) ** 2
-        return 2.0 * K2 * np.sqrt(fsq)
-    # full diagonal: column n is A_{-1} e_n, preimage e_n
-    fsq = A.weights * np.abs(lam) / (2.0 * np.abs(lam.real))
-    return 2.0 * K2 * np.sqrt(fsq)
+    w = A.weights * np.abs(lam) / (2.0 * np.abs(lam.real))
+    if B.kind != "aminus_full":  # the full diagonal's preimages are e_n
+        w = w @ np.abs(B._preimages(A)) ** 2
+    return 2.0 * l2_adm_constant(A) * np.sqrt(w)
 
 
 def _hinf_column_constants(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
@@ -560,10 +501,7 @@ def _lower_bound(
         return probe, "closed-form(probe)", None
     bp = np.linspace(0.0, t, n_pieces + 1)
     E = _expdiff_matrix(lam, bp)
-    if B.kind == "aminus_x0":
-        cols = (lam * B.data)[:, None]
-    else:
-        cols = B.data
+    cols = B._coefficients(A)
     vals = []
     for j in range(cols.shape[1]):
         _, val = worst_case_phases(
@@ -679,11 +617,10 @@ def orlicz_adm_bound(
     re-verified on seeded random inputs before the pair is returned; any
     violation raises :class:`CertificateViolation`.
     """
-    x0 = np.asarray(x0, dtype=complex)
-    if x0.shape != A.eigenvalues.shape:
-        raise AdmissibilityError("x0 must align with the eigenvalues")
+    Bop = InputOperator.aminus_x0(x0)  # rejects a non-finite x0 up front
+    Bop.check_alignment(A)
     phi = compose_sqrt(psi)
-    c = A.weights * np.abs(A.eigenvalues) * np.abs(x0) ** 2
+    c = A.weights * np.abs(A.eigenvalues) * np.abs(Bop._preimages(A)[:, 0]) ** 2
     keep = c > 0.0
     if not np.any(keep):
         return phi, 0.0
@@ -700,7 +637,6 @@ def orlicz_adm_bound(
         if horizons is None:
             horizons = [0.5 / A.delta, 1.0 / A.delta, 2.0 / A.delta, 8.0 / A.delta]
         rng = np.random.default_rng(seed)
-        Bop = InputOperator.aminus_x0(x0)
         for trial in range(n_verify):
             t = horizons[trial % len(horizons)]
             u = random_signal(rng, t, int(rng.integers(3, 13)))
@@ -721,7 +657,7 @@ def _l2_norm_exact(A: DiagonalGenerator, B: InputOperator, t: float) -> float:
     if B.kind == "aminus_full":
         kappa = -np.expm1(2.0 * lam.real * t) / (2.0 * np.abs(lam.real))
         return float(math.sqrt(float(np.max(np.abs(lam) ** 2 * kappa))))
-    cols = (lam * B.data)[:, None] if B.kind == "aminus_x0" else B.data
+    cols = B._coefficients(A)
     sw = np.sqrt(A.weights)
     denom = lam[:, None] + np.conj(lam)[None, :]
     kernel = -1.0 / denom if math.isinf(t) else _expm1(denom * t) / denom
@@ -739,9 +675,7 @@ def _l1_norm_exact(A: DiagonalGenerator, B: InputOperator) -> float:
     sw = np.sqrt(A.weights)
     if B.kind == "aminus_full":
         return float(np.max(np.abs(lam)))
-    if B.kind == "aminus_x0":
-        return float(np.linalg.norm(sw * lam * B.data))
-    return float(np.linalg.norm(sw[:, None] * B.data, ord=2))
+    return float(np.linalg.norm(sw[:, None] * B._coefficients(A), ord=2))
 
 
 def infinite_time_sup(

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quad import QuadratureError, adaptive_interval
+from ._quad import adaptive_interval
 from .admissibility import (
     CertificateViolation,
     InputOperator,
@@ -45,7 +45,6 @@ from .admissibility import (
     _Stepper,
     _upper_routes,
     orlicz_adm_bound,
-    output_map_l1,
 )
 from .orlicz import OrliczError, SampledFunction, YoungFunction, luxemburg_norm, modular
 from .signals import (
@@ -58,7 +57,6 @@ from .spectral import (
     DiagonalGenerator,
     SpectralVector,
     _weighted_norm,
-    basis_vector,
     generator_from_json,
     space_norm,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "SqfctReport",
     "weiss_check",
     "sqfct_constants",
-    "weak_sqfct_estimate",
     "counterexample_run",
     "iss_certificate",
     "iiss_certificate",
@@ -129,14 +126,12 @@ def _resolvent_norms(
     lam = A.eigenvalues
     if B.kind == "aminus_full":
         return np.max(np.abs(lam)[None, :] / dist, axis=1)
-    if B.kind == "aminus_x0":
-        c = A.weights * np.abs(lam * B.data) ** 2
-        return np.sqrt(dist**-2 @ c)
-    m = B.data.shape[1]
+    cols = B._coefficients(A)
+    m = cols.shape[1]
     if m == 1:
-        c = A.weights * np.abs(B.data[:, 0]) ** 2
+        c = A.weights * np.abs(cols[:, 0]) ** 2
         return np.sqrt(dist**-2 @ c)
-    outer = A.weights[:, None, None] * B.data.conj()[:, :, None] * B.data[:, None, :]
+    outer = A.weights[:, None, None] * cols.conj()[:, :, None] * cols[:, None, :]
     # complex entries as (re, im) float pairs: one real product for the block
     flat = np.ascontiguousarray(outer.reshape(len(lam), m * m)).view(float)
     gram = (dist**-2 @ flat).view(complex).reshape(len(pts), m, m)
@@ -150,11 +145,9 @@ def _weiss_per_mode_closed(A: DiagonalGenerator, B: InputOperator, p: float) -> 
     re = np.abs(lam.real)
     if B.kind == "aminus_full":
         mag = np.abs(lam)
-    elif B.kind == "aminus_x0":
-        mag = np.sqrt(A.weights) * np.abs(lam * B.data)
     else:
         # sigma_max of a one-row block is the row 2-norm, so this is attained
-        mag = np.sqrt(A.weights) * np.linalg.norm(B.data, axis=1)
+        mag = np.sqrt(A.weights) * np.linalg.norm(B._coefficients(A), axis=1)
     if math.isinf(p):
         vals = mag / re
     elif p == 2.0:
@@ -304,46 +297,6 @@ def sqfct_constants(
             "exp_minus_z_mode0": math.inf,
         },
     )
-
-
-def weak_sqfct_estimate(
-    A: DiagonalGenerator, n_samples: int = 20, seed: int = 0, rel_tol: float = 1e-8
-) -> dict:
-    """Empirical max of int_0^oo |<y, A T(s) x>| ds over unit pairs.
-
-    Diagonal pairs (e_n, e_n) give the closed form |lambda_n|/|Re lambda_n| =
-    sec(angle of the mode); seeded random unit pairs are added on top.  Taking
-    the modulus inside the integral is exactly the phase-aligned worst input,
-    so each pair's value is already input-optimal.  Quadrature failures skip
-    the sample with a count.
-    """
-    rng = np.random.default_rng(seed)
-    n = A.n_modes
-    pairs: list[tuple[SpectralVector, SpectralVector, str]] = []
-    for i in range(min(n, 16)):
-        e = basis_vector(A, i)
-        e = SpectralVector(e.coefficients / space_norm(A, e), "X")
-        pairs.append((e, e, f"diagonal:{i}"))
-    for i in range(n_samples):
-        raw = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-        x = SpectralVector(raw[0] / space_norm(A, SpectralVector(raw[0], "X")), "X")
-        y = SpectralVector(raw[1] / space_norm(A, SpectralVector(raw[1], "X")), "X")
-        pairs.append((x, y, f"random:{i}"))
-    best, best_label, skipped = 0.0, "", 0
-    for x, y, label in pairs:
-        try:
-            val = output_map_l1(A, y, x, rel_tol=rel_tol)
-        except QuadratureError:
-            skipped += 1
-            continue
-        if val > best:
-            best, best_label = val, label
-    return {
-        "estimate": best,
-        "best_pair": best_label,
-        "n_pairs": len(pairs),
-        "skipped": skipped,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,11 @@ __all__ = [
     "SignalError",
     "PiecewiseSignal",
     "mode_integrals",
-    "counterexample_input",
     "counterexample_intervals",
     "worst_case_phases",
     "random_signal",
 ]
 
-_MAX_DENSE_ENTRIES = 4_000_000
 _BLOCK_ENTRIES = 4096  # piece-mode pairs per e^w - 1 call in _horner (64 KB)
 
 
@@ -397,31 +395,6 @@ def counterexample_intervals(gammas) -> list[tuple[int, float, float]]:
         elif b[m + 1] > a[m]:
             raise SignalError("support intervals overlap")
     return [(m + 1, float(a[m]), float(b[m])) for m in range(gam.size)]
-
-
-def counterexample_input(gammas) -> PiecewiseSignal:
-    """Per-mode indicator input on [0, 1]: channel m is 1 on [a_m, b_m).
-
-    The supports are pairwise disjoint (asserted), so the signal has
-    sup-norm exactly 1 in every weighted ℓ² channel norm with unit weights.
-    """
-    table = counterexample_intervals(gammas)
-    M = len(table)
-    a = np.array([row[1] for row in table])
-    b = np.array([row[2] for row in table])
-    pts = np.unique(np.concatenate([[0.0, 1.0], a, b]))
-    K = len(pts) - 1
-    if K * M > _MAX_DENSE_ENTRIES:
-        raise SignalError(
-            f"dense indicator matrix would hold {K * M} entries; use the "
-            "closed-form divergence runner for large mode counts"
-        )
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    active = (mids[:, None] >= a[None, :]) & (mids[:, None] < b[None, :])
-    if np.any(np.sum(active, axis=1) > 1):
-        raise SignalError("support intervals overlap")  # unreachable after snap
-    values = active.astype(complex)
-    return PiecewiseSignal(pts, values, "piecewise", per_mode=True)
 
 
 def worst_case_phases(

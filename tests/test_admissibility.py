@@ -16,18 +16,14 @@ from admlab.admissibility import (
     l2_adm_constant,
     linfty_bounds,
     orlicz_adm_bound,
-    output_map_l1,
     trajectory,
     zero_class_profile,
 )
+from admlab.certify import weiss_check
 from admlab.orlicz import power_young
-from admlab.signals import (
-    PiecewiseSignal,
-    counterexample_input,
-    mode_integrals,
-    random_signal,
-)
-from admlab.spectral import DiagonalGenerator, SpectralVector, basis_vector, space_norm
+from admlab.signals import PiecewiseSignal, mode_integrals, random_signal
+from admlab.spectral import DiagonalGenerator, SpectralVector, space_norm
+from dense_counterexample import counterexample_input
 
 LAMS = [-1.0, -2.0 + 1.5j, -2.0 - 1.5j, -5.0]
 
@@ -125,21 +121,6 @@ def test_input_operator_validation():
     A = DiagonalGenerator(LAMS)
     with pytest.raises(AdmissibilityError):
         InputOperator.columns(np.eye(3)).check_alignment(A)
-
-
-def test_output_map_l1_values():
-    A = DiagonalGenerator([-1.0])
-    e1 = basis_vector(A, 0)
-    assert output_map_l1(A, e1, e1) == pytest.approx(1.0, rel=1e-10)
-    theta = math.pi / 3
-    ray = DiagonalGenerator.from_ray(1.0, 1.0, theta, 1)
-    f1 = basis_vector(ray, 0)
-    assert output_map_l1(ray, f1, f1) == pytest.approx(1.0 / math.cos(theta), rel=1e-8)
-    B = DiagonalGenerator([-1.0, -2.0])
-    assert output_map_l1(B, basis_vector(B, 0), basis_vector(B, 1)) == 0.0
-    vals = [output_map_l1(A, e1, e1, horizon=h) for h in (0.5, 1.0, 4.0, math.inf)]
-    assert vals == sorted(vals)
-    assert vals[0] == pytest.approx(1.0 - math.exp(-0.5), rel=1e-10)
 
 
 def test_l2_adm_constant_frozen_and_certified():
@@ -243,6 +224,52 @@ def test_orlicz_adm_bound_single_mode():
     assert C0 == 0.0
     with pytest.raises(AdmissibilityError):
         orlicz_adm_bound(A, [1.0, 2.0], psi)
+
+
+def test_orlicz_adm_bound_rejects_a_non_finite_x0_without_trials():
+    A = DiagonalGenerator([-1.0, -2.0, -3.0])
+    psi = power_young(2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(AdmissibilityError, match="finite"):
+            orlicz_adm_bound(A, [1.0, bad, 0.25], psi, n_verify=0)
+
+
+def test_aminus_x0_is_the_one_column_lambda_x0():
+    """B = A_{-1} x0 and the column lambda x0 are one operator: every number
+    agrees, except the kernel-L1 route, which needs x0 in the domain of A."""
+    rng = np.random.default_rng(11)
+    n = 12
+    re = -np.sort(rng.uniform(0.5, 20.0, n))
+    A = DiagonalGenerator(re + 1j * rng.uniform(-1.0, 1.0, n) * np.abs(re))
+    x0 = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.arange(1, n + 1)
+    rank_one = InputOperator.aminus_x0(x0)
+    column = InputOperator.columns((A.eigenvalues * x0)[:, None])
+
+    def same(a, b):
+        assert abs(a - b) <= 1e-14 * abs(b), (a, b)
+
+    for t in (0.05, 1.0):
+        r1 = linfty_bounds(A, rank_one, t, seed=3)
+        r2 = linfty_bounds(A, column, t, seed=3)
+        for route in ("factorization", "hinf-multiplier"):
+            same(r1.routes[route]["value"], r2.routes[route]["value"])
+        same(r1.lower, r2.lower)
+        assert math.isfinite(r2.routes["kernel-L1"]["value"])
+        assert math.isinf(r1.routes["kernel-L1"]["value"])
+        assert "outside the domain of A" in r1.routes["kernel-L1"]["reason"]
+    for space in ("L2", "L1"):
+        same(infinite_time_sup(A, rank_one, space).upper,
+             infinite_time_sup(A, column, space).upper)
+    for p in (1.0, 2.0, math.inf):
+        w1, w2 = weiss_check(A, rank_one, p), weiss_check(A, column, p)
+        same(w1.value, w2.value)
+        same(w1.closed_form, w2.closed_form)
+    u = random_signal(rng, 1.0, 6)
+    one_channel = PiecewiseSignal(u.breakpoints, u.values[:, None])
+    for signal in (u, one_channel):
+        got = input_map(A, rank_one, signal).coefficients
+        want = input_map(A, column, signal).coefficients
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_zero_class_profile_flags():

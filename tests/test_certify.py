@@ -22,13 +22,12 @@ from admlab.certify import (
     iss_certificate,
     shift_demo,
     sqfct_constants,
-    weak_sqfct_estimate,
     weiss_check,
 )
 from admlab.admissibility import l2_adm_constant
 from admlab.orlicz import SampledFunction, Segment, YoungFunction, power_young
-from admlab.signals import counterexample_input
 from admlab.spectral import DiagonalGenerator
+from dense_counterexample import counterexample_input
 
 S1 = 0.05695440411119535  # (e^{-1/2} - e^{-1})^2
 
@@ -127,34 +126,6 @@ def test_sqfct_constants():
     assert math.isfinite(rep.convention_evidence["exp_plus_z_mode0"])
     assert math.isinf(rep.convention_evidence["exp_minus_z_mode0"])
     assert rep.phi0
-
-
-def test_weak_sqfct_estimate():
-    out = weak_sqfct_estimate(DiagonalGenerator([-1.0]), n_samples=5)
-    assert out["estimate"] >= 1.0 - 1e-9
-    assert out["skipped"] == 0
-    ray = DiagonalGenerator.from_ray(1.0, 1.0, math.pi / 4, 4)
-    out = weak_sqfct_estimate(ray, n_samples=5)
-    assert out["estimate"] >= math.sqrt(2.0) * (1.0 - 1e-8)
-
-
-def test_weak_sqfct_estimate_skips_only_quadrature_failures(monkeypatch):
-    import admlab.certify as certify
-    from admlab._quad import QuadratureError
-
-    def no_convergence(*args, **kwargs):
-        raise QuadratureError("no convergence")
-
-    monkeypatch.setattr(certify, "output_map_l1", no_convergence)
-    out = weak_sqfct_estimate(DiagonalGenerator([-1.0]), n_samples=3)
-    assert out["skipped"] == out["n_pairs"] == 4
-
-    def defect(*args, **kwargs):
-        raise ValueError("a defect, not a quadrature failure")
-
-    monkeypatch.setattr(certify, "output_map_l1", defect)
-    with pytest.raises(ValueError, match="a defect"):
-        weak_sqfct_estimate(DiagonalGenerator([-1.0]), n_samples=3)
 
 
 def test_counterexample_matches_dense_evaluation():

@@ -11,12 +11,12 @@ from admlab.signals import (
     PiecewiseSignal,
     SignalError,
     _expm1,
-    counterexample_input,
     counterexample_intervals,
     mode_integrals,
     random_signal,
     worst_case_phases,
 )
+from dense_counterexample import counterexample_input
 
 MODES = np.array([-1.0, -2.0 + 1.5j, -1e-9, -1e-9 + 1e-9j], dtype=complex)
 

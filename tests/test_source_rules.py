@@ -1,0 +1,38 @@
+"""Source rules that hold for every module of the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "admlab").glob("*.py"))
+BROAD = {"Exception", "BaseException"}
+
+
+def _broad_handlers(tree: ast.AST):
+    """Line numbers of bare ``except:`` and of handlers naming a broad class."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type
+        names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+        if caught is None or any(
+            isinstance(n, ast.Name) and n.id in BROAD for n in names
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_handler_can_swallow_a_defect(path):
+    lines = list(_broad_handlers(ast.parse(path.read_text(), str(path))))
+    assert not lines, f"{path.name}: broad except at lines {lines}"
+
+
+def test_the_rule_sees_every_broad_form():
+    src = (
+        "try:\n    pass\nexcept:\n    pass\n"
+        "try:\n    pass\nexcept Exception:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, BaseException) as e:\n    pass\n"
+        "try:\n    pass\nexcept (ValueError, KeyError):\n    pass\n"
+    )
+    assert list(_broad_handlers(ast.parse(src))) == [3, 7, 11]
