@@ -48,7 +48,9 @@ from .admissibility import (
 )
 from .orlicz import OrliczError, SampledFunction, YoungFunction, luxemburg_norm, modular
 from .signals import (
+    _GRID_ENTRIES,
     PiecewiseSignal,
+    _block_rows,
     _expm1,
     counterexample_intervals,
     random_signal,
@@ -115,27 +117,33 @@ def _weiss_factor(p: float, re: np.ndarray) -> np.ndarray:
 
 
 def _resolvent_norms(
-    A: DiagonalGenerator, B: InputOperator, pts: np.ndarray, dist: np.ndarray
-) -> np.ndarray:
-    """||R(lambda, A_{-1}) B|| at each point, exact per kind; ``dist`` is the
-    points-by-modes matrix |lambda - lambda_n|.
+    A: DiagonalGenerator, B: InputOperator
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a points-by-modes block ``dist`` of |mu - lambda_n| to
+    ||R(mu, A_{-1}) B|| at each of its points, exact per kind; the per-mode
+    data is formed once, for every block.
 
     For m >= 2 columns the squared norm at mu is the largest eigenvalue of
     the m x m Gram G(mu) = sum_n w_n conj(b_n) b_n^T / |mu - lambda_n|^2,
     taken for every point of the block by one real product with ``dist``."""
     lam = A.eigenvalues
     if B.kind == "aminus_full":
-        return np.max(np.abs(lam)[None, :] / dist, axis=1)
+        mag = np.abs(lam)
+        return lambda dist: np.max(mag / dist, axis=1)
     cols = B._coefficients(A)
     m = cols.shape[1]
     if m == 1:
         c = A.weights * np.abs(cols[:, 0]) ** 2
-        return np.sqrt(dist**-2 @ c)
+        return lambda dist: np.sqrt(dist**-2 @ c)
     outer = A.weights[:, None, None] * cols.conj()[:, :, None] * cols[:, None, :]
     # complex entries as (re, im) float pairs: one real product for the block
     flat = np.ascontiguousarray(outer.reshape(len(lam), m * m)).view(float)
-    gram = (dist**-2 @ flat).view(complex).reshape(len(pts), m, m)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+    def gram_norms(dist: np.ndarray) -> np.ndarray:
+        gram = (dist**-2 @ flat).view(complex).reshape(len(dist), m, m)
+        return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+    return gram_norms
 
 
 def _weiss_per_mode_closed(A: DiagonalGenerator, B: InputOperator, p: float) -> float:
@@ -188,10 +196,12 @@ def weiss_check(
     silently underestimate, and the exact per-mode maxima are reported
     alongside.  Points that land numerically on the spectrum are skipped and
     counted (impossible for the open right half-plane grid, kept as a guard).
-    Each block of points builds its points-by-modes distance matrix once; the
-    guard and the resolvent norms both read it.  With m >= 2 columns the
-    norms come from the m x m Gram of every point in one product with that
-    matrix and one stacked ``eigvalsh``, not from an n x m SVD per point.
+    The points run in blocks of about ``_GRID_ENTRIES`` points·modes (at
+    least 4 points), so the working set is about 2 MB, not O(points·modes).  Each
+    block builds its points-by-modes distance matrix once; the guard and the
+    resolvent norms both read it.  With m >= 2 columns the norms come from
+    the m x m Gram of every point in one product with that matrix and one
+    stacked ``eigvalsh``, not from an n x m SVD per point.
     """
     if isinstance(p, str):
         p = math.inf if p in ("inf", "oo") else float(p)
@@ -204,7 +214,8 @@ def weiss_check(
     pts = (re[:, None] + 1j * im[None, :]).ravel()
     cands = _weiss_candidates(A, p)
     allpts = np.concatenate([pts, cands])
-    chunk = max(1, 4_000_000 // A.n_modes)
+    norms = _resolvent_norms(A, B)
+    chunk = _block_rows(A.n_modes, _GRID_ENTRIES)
     best, skipped = 0.0, 0
     for i0 in range(0, len(allpts), chunk):
         blk = allpts[i0 : i0 + chunk]
@@ -214,7 +225,7 @@ def weiss_check(
             skipped += int(np.sum(~ok))
             blk, dist = blk[ok], dist[ok]
         if blk.size:
-            vals = _weiss_factor(p, blk.real) * _resolvent_norms(A, B, blk, dist)
+            vals = _weiss_factor(p, blk.real) * norms(dist)
             best = max(best, float(np.max(vals)))
     return WeissReport(
         p=p,
@@ -322,7 +333,8 @@ def counterexample_run(
     arbitrarily large M costs nothing and no ``2^{m}`` ever overflows.  The
     per-column bounds and the resolvent condition are computed on the same
     construction (the resolvent grid runs on a leading block of modes, exact
-    because the per-mode symbol value sqrt(1+k^2) is m-independent).
+    because the per-mode symbol value sqrt(1+k^2) is m-independent).  A
+    checkpoint outside 1..M is a :class:`CertifyError`.
     """
     if M < 1:
         raise CertifyError("need at least one mode")
@@ -337,6 +349,9 @@ def counterexample_run(
     theory = ms * sigma
     if checkpoints is None:
         checkpoints = [m for m in (1, 10, 100, 10000) if m <= M] or [M]
+    for m in checkpoints:
+        if not 1 <= m <= M:
+            raise CertifyError(f"checkpoint {m} is outside 1..M for M = {M}")
     cps = {int(m): float(np.sum(summands[:m])) for m in checkpoints}
     per_column = float(math.hypot(1.0, k_bound))  # = sec(sector angle)
     n_weiss = min(M, 900)

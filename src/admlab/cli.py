@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from importlib import resources
 from pathlib import Path
 
@@ -327,11 +327,15 @@ def _signal(scn: dict, command: str, seed: int | None, n_channels: int) -> Piece
 # Artifact writing
 # ---------------------------------------------------------------------------
 
+_CSV_ROWS = 4096  # rows formatted and written at a time (about 1 MB of cells)
 
-def _write_atomic(path: Path, text: str) -> None:
+
+def _write_atomic(path: Path, parts: Iterable[str]) -> None:
+    """Write the text ``parts`` to a temporary file, then rename it to ``path``."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as fh:
+            fh.writelines(parts)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"while writing {path}: {exc}") from exc
@@ -345,6 +349,15 @@ def _csv_cells(column) -> Iterable[str]:
     return map(repr, np.asarray(column, dtype=float).tolist())
 
 
+def _csv_text(header: str, columns: list) -> Iterator[str]:
+    """The CSV's text: the header line, then the rows ``_CSV_ROWS`` at a time."""
+    yield header + "\n"
+    n_rows = min(map(len, columns), default=0)
+    for lo in range(0, n_rows, _CSV_ROWS):
+        cells = [_csv_cells(column[lo : lo + _CSV_ROWS]) for column in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def emit_plotdata(outdir: Path, jobs: list[tuple[str, str, list]]) -> list[Path]:
     """Write one CSV per curve: (filename, header, columns).
 
@@ -352,13 +365,12 @@ def emit_plotdata(outdir: Path, jobs: list[tuple[str, str, list]]) -> list[Path]
     lists or ranges).  Numeric cells are written as ``repr(float(c))``, so
     ints, numpy floats, ``inf`` and ``-0.0`` print as Python floats do.  An
     empty table still produces the header line, so downstream plotting sees
-    a well-formed file."""
+    a well-formed file.  Rows are formatted and written ``_CSV_ROWS`` at a
+    time, so memory does not grow with the table."""
     paths = []
     for name, header, columns in jobs:
-        lines = [header]
-        lines.extend(map(",".join, zip(*map(_csv_cells, columns))))
         path = outdir / name
-        _write_atomic(path, "\n".join(lines) + "\n")
+        _write_atomic(path, _csv_text(header, columns))
         paths.append(path)
     return paths
 
@@ -674,14 +686,13 @@ def run(command: str, scenario_path: str, out=None, seed=None, modes=None,
         }
         _write_atomic(
             outdir / "violation.dump.json",
-            json.dumps(dump, sort_keys=True, indent=2) + "\n",
+            [json.dumps(dump, sort_keys=True, indent=2) + "\n"],
         )
         print(f"{command}: VIOLATION: {exc}", file=sys.stderr)
         print(f"dump written to {outdir / 'violation.dump.json'}", file=sys.stderr)
         return 2
-    _write_atomic(
-        outdir / f"{command}.report.json", _report_text(command, digest, seed, results)
-    )
+    report = _report_text(command, digest, seed, results)
+    _write_atomic(outdir / f"{command}.report.json", [report])
     emit_plotdata(outdir, jobs)
     if not quiet:
         for line in lines:

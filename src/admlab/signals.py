@@ -49,7 +49,18 @@ __all__ = [
     "random_signal",
 ]
 
-_BLOCK_ENTRIES = 4096  # piece-mode pairs per e^w - 1 call in _horner (64 KB)
+_BLOCK_ENTRIES = 4096  # complex mode-piece entries per block, 64 KB (_horner, Grams)
+_GRID_ENTRIES = 1 << 16  # real points-by-modes entries per grid block (512 KB)
+
+
+def _block_rows(row_len: int, entries: int) -> int:
+    """Rows per block of a matrix with ``row_len`` entries a row, so that a
+    block holds about ``entries`` entries.  The count is a multiple of 4 (and
+    at least 4): OpenBLAS's gemv kernels take rows four at a time, so each
+    row's dot product then runs the same kernel path as in the whole matrix,
+    and a row-blocked matrix-vector product is bit-identical to one product.
+    """
+    return max(4, entries // max(row_len, 1) // 4 * 4)
 
 
 class SignalError(Exception):
@@ -409,12 +420,11 @@ def worst_case_phases(
 ) -> tuple[PiecewiseSignal | None, float]:
     """Maximize ‖Σ_k v_k b_n E_{nk}‖_w over piece values |v_k| ≤ 1.
 
-    Alternating phase alignment: with M = diag(b) E and G = M* diag(w) M,
-    iterate v ← phase(G v) (sign(Re G v) over the real field), which never
-    decreases the objective for the positive-semidefinite G.  Several seeded
-    restarts; the best iterate is returned as a certified lower bound for the
-    input-map norm over this piecewise-constant subclass (the true supremum
-    ranges over all of L^∞, so this is a lower bound, never a norm).
+    Alternating phase alignment on the Gram G = M* diag(w) M of M = diag(b) E
+    (see :func:`_phase_search`).  The best iterate is returned as a certified
+    lower bound for the input-map norm over this piecewise-constant subclass
+    (the true supremum ranges over all of L^∞, so this is a lower bound, never
+    a norm).
     """
     E = np.asarray(integrals, dtype=complex)
     if E.ndim != 2:
@@ -423,6 +433,22 @@ def worst_case_phases(
     b = np.asarray(mode_coeffs, dtype=complex)
     M = b[:, None] * E
     G = M.conj().T @ (w[:, None] * M)
+    best_v, best_val = _phase_search(G, real_field, restarts, iters, seed)
+    u = None
+    if breakpoints is not None:
+        u = PiecewiseSignal(breakpoints, best_v, "piecewise")
+    return u, best_val
+
+
+def _phase_search(
+    G: np.ndarray, real_field: bool, restarts: int, iters: int, seed: int
+) -> tuple[np.ndarray, float]:
+    """Best unimodular v for sqrt(v* G v), G positive semidefinite K x K.
+
+    Iterates v ← phase(G v) (sign(Re G v) over the real field), which never
+    decreases the objective, from the all-ones start and seeded random
+    restarts; returns the best iterate and its value.
+    """
     K = G.shape[0]
 
     def value(v: np.ndarray) -> float:
@@ -455,10 +481,7 @@ def worst_case_phases(
             v, cur = v_new, new
         if cur > best_val:
             best_val, best_v = cur, v
-    u = None
-    if breakpoints is not None:
-        u = PiecewiseSignal(breakpoints, best_v, "piecewise")
-    return u, best_val
+    return best_v, best_val
 
 
 def random_signal(

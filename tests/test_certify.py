@@ -159,6 +159,13 @@ def test_counterexample_complex_and_checkpoints():
         counterexample_run(0.0, 0)
 
 
+@pytest.mark.parametrize("checkpoint", [1000, 0])
+def test_counterexample_rejects_a_checkpoint_outside_the_modes(checkpoint):
+    # S_1000 of a 100-mode run is not the partial sum S_100
+    with pytest.raises(CertifyError, match=rf"checkpoint {checkpoint} .* M = 100"):
+        counterexample_run(0.5, 100, [10, checkpoint])
+
+
 def test_iss_rejects_a_negative_gain_slope():
     A = DiagonalGenerator([-1.0, -2.0])
     B = InputOperator.aminus_x0([1.0, 0.5])

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from admlab import cli
 from admlab.cli import ConfigError, _json_ready, emit_plotdata, load_scenario, main, run
 
 ADM_SCENARIO = {
@@ -191,10 +192,20 @@ def test_emit_plotdata_matches_the_row_formula_byte_for_byte(tmp_path):
         [float(v) for v in numbers],
         flags,
     ]
+    n_long = 2 * cli._CSV_ROWS + 1  # two full chunks and one row
+    rng = np.random.default_rng(5)
+    long_table = [
+        range(n_long),
+        rng.normal(size=n_long) * 10.0 ** rng.integers(-300, 300, n_long),
+        [f"w{i}" for i in range(n_long)],
+    ]
     emit_plotdata(tmp_path, [("mixed.csv", "a,b,c,d,e,f", table),
-                             ("empty.csv", "a", [[]])])
-    expected = "\n".join(["a,b,c,d,e,f"] + [_row_oracle(r) for r in zip(*table)]) + "\n"
-    assert (tmp_path / "mixed.csv").read_bytes() == expected.encode()
+                             ("empty.csv", "a", [[]]),
+                             ("long.csv", "i,x,w", long_table)])
+    for name, header, cols in (("mixed.csv", "a,b,c,d,e,f", table),
+                               ("long.csv", "i,x,w", long_table)):
+        expected = "\n".join([header] + [_row_oracle(r) for r in zip(*cols)]) + "\n"
+        assert (tmp_path / name).read_bytes() == expected.encode()
     assert (tmp_path / "empty.csv").read_text() == "a\n"
 
 
@@ -215,6 +226,15 @@ def test_counterexample_outputs_and_modes_flag(tmp_path):
     small = tmp_path / "small"
     assert run("counterexample", scn, out=str(small), modes=7) == 0
     assert len((small / "divergence.csv").read_text().splitlines()) == 8
+
+
+def test_counterexample_modes_below_a_checkpoint_exit_1(tmp_path, capsys):
+    scn = _write(tmp_path, "ce.json", {**CE_SCENARIO, "checkpoints": [10, 50]})
+    out = tmp_path / "out"
+    assert main(["counterexample", "--scenario", scn, "--out", str(out),
+                 "--modes", "20"]) == 1
+    assert "checkpoint 50" in capsys.readouterr().err
+    assert not (out / "counterexample.report.json").exists()
 
 
 EXPLICIT_4 = [[-1.0, 0.0], [-2.0, 0.5], [-2.0, -0.5], [-5.0, 0.0]]
