@@ -77,6 +77,7 @@ __all__ = [
 ]
 
 _DIVERGENCE_THRESHOLD = 1e6
+_DIVERGENCE_ROWS = 4096  # divergence rows: every m up to here, log-spaced past it
 
 
 class CertifyError(Exception):
@@ -315,6 +316,46 @@ def sqfct_constants(
 # ---------------------------------------------------------------------------
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integral number is a CertifyError."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, np.integer))
+        or (isinstance(value, float) and value.is_integer())
+    ):
+        raise CertifyError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _divergence_ms(M: int, checkpoints: list[int]) -> np.ndarray:
+    """The m of the rows worth writing: every m up to ``_DIVERGENCE_ROWS``
+    modes; past that, ``_DIVERGENCE_ROWS`` log-spaced m (fewer once rounded)
+    with the checkpoints and M added, sorted and each once."""
+    if M <= _DIVERGENCE_ROWS:
+        return np.arange(1, M + 1)
+    spaced = np.rint(np.geomspace(1, M, _DIVERGENCE_ROWS)).astype(np.int64)
+    return np.union1d(spaced, np.array([*checkpoints, M], dtype=np.int64))
+
+
+def _partial_sums(sigma: float, M: int, ms: np.ndarray) -> np.ndarray:
+    """S_m = sigma + ... + sigma (m terms, summed in order) at the sorted m of
+    ``ms``, bit-identical to ``np.cumsum(np.full(M, sigma))[ms - 1]``.
+
+    The sum runs in blocks of ``_GRID_ENTRIES`` terms, each block's cumsum
+    starting from the previous block's last sum, so memory stays O(block +
+    len(ms)) at any M while time stays O(M) adds.
+    """
+    out = np.empty(len(ms))
+    block = np.full(_GRID_ENTRIES + 1, sigma)
+    block[0] = 0.0  # S_0; then each block starts from the last one's sum
+    for lo in range(0, M, _GRID_ENTRIES):
+        hi = min(lo + _GRID_ENTRIES, M)
+        sums = np.cumsum(block[: hi - lo + 1])  # sums[j] = S_{lo + j}
+        kept = (ms > lo) & (ms <= hi)
+        out[kept] = sums[ms[kept] - lo]
+        block[0] = sums[-1]
+    return out
+
+
 def counterexample_run(
     k_bound: float = 0.0,
     M: int = 100,
@@ -333,9 +374,22 @@ def counterexample_run(
     arbitrarily large M costs nothing and no ``2^{m}`` ever overflows.  The
     per-column bounds and the resolvent condition are computed on the same
     construction (the resolvent grid runs on a leading block of modes, exact
-    because the per-mode symbol value sqrt(1+k^2) is m-independent).  A
-    checkpoint outside 1..M is a :class:`CertifyError`.
+    because the per-mode symbol value sqrt(1+k^2) is m-independent).
+
+    ``rows`` holds the partial sums S_m (summed in order) and ``theory`` =
+    m·sigma at every m when M <= ``_DIVERGENCE_ROWS`` (4096); past that, at
+    the m of ``rint(geomspace(1, M, 4096))``, the checkpoints and M, each once
+    and in order, so at most about 4100 rows.  The sums run in blocks
+    (:func:`_partial_sums`), so memory is O(block + rows) at any M.  A
+    checkpoint value is ``np.sum`` of its m summands, a pairwise sum, while a
+    row is the in-order sum, so the two may differ in their last bits.
+
+    A non-finite ``k_bound``, a bool or non-integral M or checkpoint, and a
+    checkpoint outside 1..M are each a :class:`CertifyError`.
     """
+    if not math.isfinite(k_bound):
+        raise CertifyError(f"k_bound must be finite, got {k_bound!r}")
+    M = _whole("M", M)
     if M < 1:
         raise CertifyError("need at least one mode")
     t0 = time.perf_counter()
@@ -343,16 +397,14 @@ def counterexample_run(
     with np.errstate(under="ignore"):
         sigma = float(abs(np.exp(-z) - np.exp(-0.5 * z)) ** 2)
     s1_real = (math.exp(-0.5) - math.exp(-1.0)) ** 2
-    summands = np.full(M, sigma)
-    s_cum = np.cumsum(summands)
-    ms = np.arange(1, M + 1)
-    theory = ms * sigma
     if checkpoints is None:
         checkpoints = [m for m in (1, 10, 100, 10000) if m <= M] or [M]
+    checkpoints = [_whole("checkpoint", m) for m in checkpoints]
     for m in checkpoints:
         if not 1 <= m <= M:
             raise CertifyError(f"checkpoint {m} is outside 1..M for M = {M}")
-    cps = {int(m): float(np.sum(summands[:m])) for m in checkpoints}
+    cps = {m: float(np.sum(np.broadcast_to(sigma, (m,)))) for m in checkpoints}
+    ms = _divergence_ms(M, checkpoints)
     per_column = float(math.hypot(1.0, k_bound))  # = sec(sector angle)
     n_weiss = min(M, 900)
     gammas = -(2.0 ** np.arange(n_weiss)) * z
@@ -365,7 +417,7 @@ def counterexample_run(
         "M": M,
         "sigma": sigma,
         "s1_real": s1_real,
-        "rows": {"m": ms, "S_m": s_cum, "theory": theory},
+        "rows": {"m": ms, "S_m": _partial_sums(sigma, M, ms), "theory": ms * sigma},
         "checkpoints": cps,
         "per_column_upper": per_column,
         "per_column_uniform": True,

@@ -166,6 +166,51 @@ def test_counterexample_rejects_a_checkpoint_outside_the_modes(checkpoint):
         counterexample_run(0.5, 100, [10, checkpoint])
 
 
+@pytest.mark.parametrize("k", [0.0, 0.5])
+@pytest.mark.parametrize("M", [4096, 4097, 10**5])
+def test_counterexample_rows_match_a_full_array_oracle(M, k):
+    run = counterexample_run(k, M)
+    sigma = run["sigma"]
+    summands = np.full(M, sigma)
+    oracle = np.cumsum(summands)
+    ms = run["rows"]["m"]
+    assert np.array_equal(run["rows"]["S_m"], oracle[ms - 1])
+    assert np.array_equal(run["rows"]["theory"], ms * sigma)
+    for m, value in run["checkpoints"].items():
+        assert value == np.sum(summands[:m])
+    if M <= certify._DIVERGENCE_ROWS:
+        assert np.array_equal(ms, np.arange(1, M + 1))
+    else:
+        assert len(ms) <= certify._DIVERGENCE_ROWS + len(run["checkpoints"]) + 1
+    assert np.all(np.diff(ms) > 0)
+    assert set(run["checkpoints"]) | {1, M} <= set(ms.tolist())
+
+
+@pytest.mark.parametrize("k_bound", [math.inf, -math.inf, math.nan])
+def test_counterexample_rejects_a_non_finite_k_bound(k_bound):
+    with pytest.raises(CertifyError, match="k_bound must be finite"):
+        counterexample_run(k_bound, 100)
+
+
+@pytest.mark.parametrize("M", [True, 2.5, math.inf, "100"])
+def test_counterexample_rejects_a_non_integral_mode_count(M):
+    with pytest.raises(CertifyError, match="M must be a whole number"):
+        counterexample_run(0.5, M)
+
+
+@pytest.mark.parametrize("checkpoint", [True, 2.5, math.nan, np.bool_(True)])
+def test_counterexample_rejects_a_non_integral_checkpoint(checkpoint):
+    with pytest.raises(CertifyError, match="checkpoint must be a whole number"):
+        counterexample_run(0.5, 100, [10, checkpoint])
+
+
+def test_counterexample_takes_integral_floats_and_numpy_ints():
+    run = counterexample_run(0.5, 100.0, [np.int64(10), 20.0])
+    assert run["M"] == 100 and type(run["M"]) is int
+    assert run["checkpoints"] == counterexample_run(0.5, 100, [10, 20])["checkpoints"]
+    assert all(type(m) is int for m in run["checkpoints"])
+
+
 def test_iss_rejects_a_negative_gain_slope():
     A = DiagonalGenerator([-1.0, -2.0])
     B = InputOperator.aminus_x0([1.0, 0.5])

@@ -237,6 +237,57 @@ def test_counterexample_modes_below_a_checkpoint_exit_1(tmp_path, capsys):
     assert not (out / "counterexample.report.json").exists()
 
 
+def test_counterexample_past_4096_modes_writes_log_spaced_oracle_rows(tmp_path):
+    scn = _write(tmp_path, "ce.json", {"M": 100, "k_bound": 0.5})
+    out = tmp_path / "out"
+    assert run("counterexample", scn, out=str(out), modes=100_000, quiet=True) == 0
+    report = json.loads((out / "counterexample.report.json").read_text())["results"]
+    sigma = report["sigma"]
+    oracle = np.cumsum(np.full(100_000, sigma))
+    rows = (out / "divergence.csv").read_text().splitlines()
+    assert rows[0] == "M,S_M,theory"
+    assert len(rows) - 1 <= 4096 + len(report["checkpoints"]) + 1
+    ms = [int(float(row.split(",")[0])) for row in rows[1:]]
+    assert ms[0] == 1 and ms[-1] == 100_000
+    assert all(b > a for a, b in zip(ms, ms[1:]))
+    assert {int(m) for m in report["checkpoints"]} <= set(ms)
+    for m, row in zip(ms, rows[1:]):
+        assert row == f"{float(m)!r},{float(oracle[m - 1])!r},{m * sigma!r}"
+    assert float(rows[-1].split(",")[1]) == report["S_final"]
+
+
+@pytest.mark.parametrize(
+    "body, cause",
+    [
+        ('{"M": 100, "k_bound": Infinity}', "k_bound must be finite, got inf"),
+        ('{"M": 100, "k_bound": NaN}', "k_bound must be finite, got nan"),
+        ('{"M": true}', "at '/M': True is not of type 'integer'"),
+        ('{"M": 2.5}', "at '/M': 2.5 is not of type 'integer'"),
+        ('{"M": 100, "checkpoints": [true]}', "at '/checkpoints/0': True is not"),
+        ('{"M": 100, "checkpoints": [2.5]}', "at '/checkpoints/0': 2.5 is not"),
+    ],
+)
+def test_counterexample_bad_inputs_exit_1_with_their_cause(tmp_path, capsys, body, cause):
+    scn = _write(tmp_path, "ce.json", body)
+    out = tmp_path / "out"
+    assert main(["counterexample", "--scenario", scn, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert cause in err and "Traceback" not in err
+    assert not (out / "counterexample.report.json").exists()
+
+
+def test_counterexample_takes_integral_float_inputs(tmp_path):
+    floats = _write(tmp_path, "f.json", {"M": 100.0, "checkpoints": [10.0, 100]})
+    ints = _write(tmp_path, "i.json", {"M": 100, "checkpoints": [10, 100]})
+    for scn, name in ((floats, "f"), (ints, "i")):
+        assert run("counterexample", scn, out=str(tmp_path / name), quiet=True) == 0
+    for name in ("divergence.csv", "intervals.csv"):
+        assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "i" / name).read_bytes()
+    report = json.loads((tmp_path / "f" / "counterexample.report.json").read_text())
+    assert report["results"]["M"] == 100
+    assert list(report["results"]["checkpoints"]) == ["10", "100"]
+
+
 EXPLICIT_4 = [[-1.0, 0.0], [-2.0, 0.5], [-2.0, -0.5], [-5.0, 0.0]]
 
 

@@ -1,6 +1,6 @@
 """Bounded working sets: the Weiss grid, the phase-search Grams, the iISS
-kernel envelope and the CSV writer evaluate their points-by-modes (or rows)
-intermediates in fixed blocks.
+kernel envelope, the divergence partial sums and the CSV writer evaluate
+their points-by-modes (or rows) intermediates in fixed blocks.
 
 Each call's tracemalloc peak stays under a fixed cap at sizes where one
 whole-matrix intermediate would exceed it many times over, and each blocked
@@ -8,6 +8,7 @@ result matches a one-block reference at sizes that span at least three blocks.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from admlab import admissibility, certify
 from admlab.admissibility import InputOperator, linfty_bounds, orlicz_adm_bound
-from admlab.certify import weiss_check
+from admlab.certify import counterexample_run, weiss_check
 from admlab.cli import emit_plotdata
 from admlab.orlicz import power_young
 from admlab.signals import _expdiff_matrix, worst_case_phases
@@ -94,6 +95,21 @@ def test_weiss_blocks_match_one_block(kind, p, monkeypatch):
         assert blocked.value == pytest.approx(whole.value, rel=1e-15, abs=0.0)
     else:
         assert blocked.value == whole.value
+
+
+def test_counterexample_at_ten_million_modes_is_bounded():
+    # whole length-M arrays of the partial sums would take 80 MB each
+    t0 = time.perf_counter()
+    peak = _peak_mb(lambda: counterexample_run(0.5, 10**7))
+    assert peak < CAP_MB
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_partial_sum_blocks_match_one_cumsum(monkeypatch):
+    monkeypatch.setattr(certify, "_GRID_ENTRIES", 7)  # 15 blocks, every m kept
+    run = counterexample_run(0.5, 100)
+    assert np.array_equal(run["rows"]["m"], np.arange(1, 101))
+    assert np.array_equal(run["rows"]["S_m"], np.cumsum(np.full(100, run["sigma"])))
 
 
 def test_envelope_blocks_match_the_whole_product():
