@@ -201,30 +201,37 @@ def input_map(
         raise AdmissibilityError("signal is not defined on all of [0, t]")
     if t < u.horizon:
         u = u.restrict(t)
-    coeff = _input_form(A, B, u)(mode_integrals(A.eigenvalues, u))
+    scale, cols = _input_form(A, B, u)
+    if cols is None:
+        coeff = scale * mode_integrals(A.eigenvalues, u)
+    else:
+        (coeff,) = _horner(A.eigenvalues, np.diff(u.breakpoints), u.values, cols=cols)
     if _left_x(A, coeff):
         return SpectralVector(coeff, "Xm1")
     return SpectralVector(coeff, "X")
 
 
 def _input_form(A: DiagonalGenerator, B: InputOperator, u: PiecewiseSignal):
-    """The map from the mode integrals of ``u`` to the coefficients of Phi u,
-    after checking that the channels of ``u`` fit ``B``."""
+    """How the mode integrals of ``u`` become the coefficients of Phi u,
+    after checking that the channels of ``u`` fit ``B``: ``(scale, None)``
+    when the coefficients are ``scale`` times the integrals of ``u`` (a
+    scalar or per-mode signal), ``(None, cols)`` when an m-channel signal is
+    mixed into one value per mode before integrating, Σ_j u_j(s) b_j with
+    b_j the rows of ``cols`` (see :func:`_horner`)."""
     if B.kind == "aminus_full":
         if not (u.per_mode or u.kind == "probe"):
             raise AdmissibilityError(
                 "the full-diagonal form needs a per-mode signal (input space = X)"
             )
-        return lambda ints: A.eigenvalues * ints
+        return A.eigenvalues, None
     cols = B._coefficients(A)
     if u.values.ndim == 1:
         if cols.shape[1] != 1:
             raise AdmissibilityError("scalar signal against a multi-column B")
-        col = cols[:, 0]
-        return lambda ints: col * ints
+        return cols[:, 0], None
     if u.per_mode or u.values.shape[1] != cols.shape[1]:
         raise AdmissibilityError("channel count does not match the columns")
-    return lambda ints: np.einsum("nm,nm->n", cols, ints)
+    return None, np.ascontiguousarray(cols.T)
 
 
 def _left_x(A: DiagonalGenerator, coeff: np.ndarray) -> bool:
@@ -246,12 +253,15 @@ class _Stepper:
     e^{lambda D_j} are taken once per distinct span, when the stepper is
     built, and serve every path sampled at the same times.  For each path
     (x0, u) the integrals of all T windows come from one pass of the Horner
-    kernel over the windows' pieces, so a path costs O(n·m·(K + T)) for K
-    pieces in O(n·m) memory, with the e^w - 1 of its pieces taken in blocks
-    and no signal or vector object per sample.  Every element goes through the float operations of the
-    chained calls ``trajectory(A, B, x(t_{j-1}), u.shift_origin(t_{j-1}),
-    D_j)``, so the states are bit for bit theirs.  A probe's windows are the
-    probe's own closed-form shifts and reversals.
+    kernel over the windows' pieces, with an m-channel input mixed through
+    the columns of B into one value per mode before integrating, so a path
+    costs O(n·(K + T)) for K pieces in O(n) memory (plus m multiply-adds per
+    mode and piece for the mixing), with the e^w - 1 of its pieces taken in
+    blocks and no signal or vector object per sample.  Every element goes
+    through the float operations of the chained calls ``trajectory(A, B,
+    x(t_{j-1}), u.shift_origin(t_{j-1}), D_j)``, so the states are bit for
+    bit theirs.  A probe's windows are the probe's own closed-form shifts and
+    reversals.
     """
 
     def __init__(self, A: DiagonalGenerator, B: InputOperator, times):
@@ -290,10 +300,10 @@ class _Stepper:
                 v = input_map(A, B, u.shift_origin(p).restrict(d).reversed_signal(), d)
                 yield v.coefficients, v.scale == "Xm1"
             return
-        apply = _input_form(A, B, u)
+        scale, cols = _input_form(A, B, u)
         widths, vals, starts = u._windows(self.times)
-        for ints in _horner(A.eigenvalues, widths, vals, u.per_mode, starts):
-            forced = apply(ints)
+        for ints in _horner(A.eigenvalues, widths, vals, u.per_mode, starts, cols):
+            forced = ints if cols is not None else scale * ints
             yield forced, _left_x(A, forced)
 
 
@@ -308,7 +318,9 @@ def trajectory(
 
     The one-sample case of the package's stepper: the free part is
     e^{lambda t} x0 and the forced part the input map of ``u`` reversed on
-    [0, t], O(n·K) for the K pieces of u on [0, t], in O(n·m) memory.  The
+    [0, t], O(n·K) for the K pieces of u on [0, t], in O(n) memory: an
+    m-channel input is mixed through the m columns of B into one value per
+    mode before it is integrated, never integrated channel by channel.  The
     ``iss``/``iiss`` envelopes and ``simulate`` sample whole paths through the
     same stepper, which carries the state from one sample time to the next
     and integrates each piece once, O(n·(K+T)) for T samples.

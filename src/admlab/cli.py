@@ -549,7 +549,7 @@ def _cmd_iss(scn, seed, modes):
     res = iss_certificate(
         A,
         B,
-        n_trials=int(scn.get("trials", 100)),
+        n_trials=scn.get("trials", 100),
         horizon=scn.get("horizon"),
         seed=seed,
         adm_bound_override=scn.get("adm_bound_override"),
@@ -571,7 +571,7 @@ def _cmd_iiss(scn, seed, modes):
         A,
         x0,
         psi,
-        n_trials=int(scn.get("trials", 50)),
+        n_trials=scn.get("trials", 50),
         horizon=scn.get("horizon"),
         seed=seed,
     )

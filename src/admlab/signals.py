@@ -12,16 +12,23 @@ and ``a t h((λ-μ)t)`` for the probe kind.  :func:`mode_integrals` evaluates
 the sum in Horner form from the last piece back, by the semigroup property
 e^{λ s_k} = e^{λ s_{k-1}} e^{λ Δ_k}:
 
-    ``acc ← (acc + z_k acc) + Δ_k h(λ Δ_k) v_k``,  ``z_k = e^{λ Δ_k} - 1``,
+    ``acc ← (acc + z_k acc) + c_k v_k``,  ``z_k = e^{λ Δ_k} - 1``,
 
-one e^w - 1 per mode and piece, O(n·m·K) time and O(n·m) memory for n modes,
-m channels and K pieces.  No e^{λ s_k} is formed, and the z_k are taken for a
-few pieces at a time (at most ``_BLOCK_ENTRIES`` piece–mode pairs), never as
-an n×K matrix.  The recursion lives in one kernel, :func:`_horner`, which
-can also restart from zero at given pieces and yield the sum of each run as
-the pass leaves it: a sampled path's T windows (``PiecewiseSignal._windows``)
-are then integrated in one pass, O(n·m·(K+T)) time and O(n·m) memory, with
-blocks that span windows.
+with the piece weight ``c_k = Δ_k h(λ Δ_k)`` taken as ``z_k·(1/λ)`` (equal in
+exact arithmetic; 1/λ is formed once per call, and the modes where 1/λ or
+λΔ_k leaves the normal range keep Δ_k h(λ Δ_k)).  That is one e^w - 1 and
+a few multiplies per mode and piece, no complex division, O(n·m·K) time and
+O(n·m) memory for n modes, m channels and K pieces.  No e^{λ s_k} is formed,
+and the z_k are taken for a few pieces at a time (at most ``_BLOCK_ENTRIES``
+piece–mode pairs), never as an n×K matrix.  The recursion lives in one
+kernel, :func:`_horner`.  It can mix an m-channel value row into one value
+per mode, Σ_j v_kj b_j, before integrating: an input map through m columns
+b_j then keeps one n-long accumulator, and pays m multiply-adds per mode and
+piece for the mixing on top of one recursion step.  It can also restart
+from zero at given pieces and yield the sum of each run as the pass leaves
+it: a sampled path's T windows (``PiecewiseSignal._windows``) are then
+integrated in one pass, O(n·(K+T)) time and O(n) memory, with blocks that
+span windows.
 :func:`_expm1`, the package's one complex e^w - 1, keeps full relative
 accuracy near every zero w ∈ 2πiℤ, so no closed form cancels, and skips the
 sines of the modes whose e^{Re w} underflows to 0.
@@ -51,6 +58,7 @@ __all__ = [
 
 _BLOCK_ENTRIES = 4096  # complex mode-piece entries per block, 64 KB (_horner, Grams)
 _GRID_ENTRIES = 1 << 16  # real points-by-modes entries per grid block (512 KB)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double, 2^-1022
 
 
 def _block_rows(row_len: int, entries: int) -> int:
@@ -103,11 +111,16 @@ def _expm1_parts(em1: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _h(w, em1=None) -> np.ndarray:
-    """(e^w - 1)/w, entire, with the value 1 at w = 0; ``em1`` = e^w - 1 if known."""
+    """(e^w - 1)/w, entire, with the value 1 at w = 0; ``em1`` = e^w - 1 if known.
+
+    Below the normal range, |w| < 2^-1022, h(w) = 1 + w/2 + ... is 1 in
+    double precision, and numpy's complex division by such a w overflows
+    (it forms 1/w), so those entries are 1.
+    """
     w = np.asarray(w, dtype=complex)
     if em1 is None:
         em1 = _expm1(w)
-    return np.divide(em1, w, out=np.ones_like(w), where=w != 0.0)
+    return np.divide(em1, w, out=np.ones_like(w), where=np.abs(w) >= _TINY)
 
 
 class PiecewiseSignal:
@@ -174,14 +187,29 @@ class PiecewiseSignal:
         if self.kind == "probe":
             amp = float(abs(self.values[0]))
             return amp * max(1.0, math.exp(-self.probe_mu.real * self.horizon))
+        return float(np.max(self._piece_norms(weights)))
+
+    def _piece_norms(self, weights=None) -> np.ndarray:
+        """The (weighted ℓ²) channel norm of each piece's value row."""
         if self.values.ndim == 1:
-            return float(np.max(np.abs(self.values)))
+            return np.abs(self.values)
         if weights is None:
             w = np.ones(self.values.shape[1])
         else:
             w = np.asarray(weights, dtype=float)
-        rows = np.sqrt(np.abs(self.values) ** 2 @ w)
-        return float(np.max(rows))
+        return np.sqrt(np.abs(self.values) ** 2 @ w)
+
+    def _running_sup(self, times) -> np.ndarray:
+        """``self.restrict(t).sup_norm()`` for each t in ``times``, in (0,
+        horizon], from one running maximum of the piece norms: O(K + T) for
+        K pieces and T times, with no signal built per time.  The last piece
+        that restrict keeps is ``searchsorted(breakpoints, t) - 1``, and a
+        piece's norm does not depend on the pieces after it, so every value
+        is bit for bit the restricted signal's (the tests check this on
+        prefixes of 1 to 3 channels).  Piecewise signals only.
+        """
+        running = np.maximum.accumulate(self._piece_norms())
+        return running[np.searchsorted(self.breakpoints, times) - 1]
 
     def restrict(self, t: float) -> "PiecewiseSignal":
         """The same signal on the shorter window [0, t]."""
@@ -310,8 +338,9 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
     Returns shape (n,) for scalar-channel and per-mode signals (the latter
     pairs channel n with λ_n) and (n, m) for m-channel signals.  Piecewise
     signals are summed in Horner form from the last piece back,
-    ``acc ← (acc + z_k acc) + Δ_k h(λΔ_k) v_k`` with ``z_k = e^{λΔ_k} - 1``,
-    in O(n·m·K) time and O(n·m) memory (see the module docstring).
+    ``acc ← (acc + z_k acc) + c_k v_k`` with ``z_k = e^{λΔ_k} - 1`` and
+    the piece weight c_k = Δ_k h(λΔ_k) taken as z_k/λ, in O(n·m·K) time and
+    O(n·m) memory (see the module docstring).
     """
     lams = np.asarray(lams, dtype=complex)
     if u.kind == "probe":
@@ -330,23 +359,40 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
     return acc
 
 
-def _horner(lams, widths, vals, per_mode=False, starts=(0,)):
-    """Yield Σ_k v_k e^{λ s_k} Δ_k h(λΔ_k) for each run of pieces, last run first.
+def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
+    """Yield Σ_k r_k e^{λ s_k} Δ_k h(λΔ_k) for each run of pieces, last run first.
 
     Run i is pieces ``starts[i]`` up to the next start (the last run ends
     with the last piece), with s_k measured from the run's first piece.  The
     pieces are taken from the last one back in one pass,
-    ``acc ← (acc + z_k acc) + Δ_k h(λΔ_k) v_k``, and acc restarts from zero
-    after each run, whose sum is yielded as soon as the pass leaves it, so
-    memory stays O(n·m) for any number of runs.  z and h come from one
-    :func:`_expm1` call per block of at most ``_BLOCK_ENTRIES`` piece–mode
-    pairs (one piece when n exceeds it), whichever runs the block spans.
-    Sums are shaped like :func:`mode_integrals`' results.
+    ``acc ← (acc + z_k acc) + c_k r_k``, and acc restarts from zero after
+    each run, whose sum is yielded as soon as the pass leaves it, so memory
+    stays O(n) for any number of runs.  The piece weight c_k = Δ_k h(λΔ_k)
+    is taken as z_k·(1/λ), equal in exact arithmetic since z_k = e^{λΔ_k} -
+    1, with 1/λ formed once.  That keeps full accuracy while every λΔ_k is
+    a normal number, which also makes 1/λ finite; the other modes (λ = 0,
+    subnormal λ, or a λΔ_k below 2^-1022, where z_k has lost digits) keep
+    Δ_k h(λΔ_k).  z comes from one :func:`_expm1` call per block of
+    at most ``_BLOCK_ENTRIES`` piece–mode pairs (one piece when n exceeds
+    it), whichever runs the block spans.
+
+    r_k is piece k's value row as one value per mode: v_k for a scalar or a
+    per-mode signal, and Σ_j v_kj b_j for an m-channel signal mixed through
+    the m rows b_j of ``cols`` (m×n), so the accumulator is n long, not n×m.
+    An m-channel signal without ``cols`` is summed per channel, as an n×m
+    array shaped like :func:`mode_integrals`' result.  Every complex product
+    is taken per piece row of n entries, never over a block: numpy's complex
+    multiply rounds by array layout, and a row's bits must not depend on the
+    runs its block happens to span.
     """
     if per_mode and vals.shape[1] != lams.size:
         raise SignalError("per-mode signal does not match the mode count")
-    outer = vals.ndim == 2 and not per_mode
+    outer = vals.ndim == 2 and not per_mode and cols is None
     shape = lams.shape + vals.shape[1:] if outer else lams.shape
+    small = ~(np.abs(lams) * min(widths.min(), 1.0) >= _TINY)
+    inv = 1.0 / np.where(small, 1.0, lams)
+    inv[small] = 0.0  # their weights are set apart below
+    bad = np.flatnonzero(small)
     starts = list(starts)
     acc = np.zeros(shape, dtype=complex)
     step = max(1, _BLOCK_ENTRIES // max(lams.size, 1))
@@ -356,14 +402,22 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,)):
         with np.errstate(under="ignore"):
             w = np.multiply.outer(widths[lo:hi], lams)
             z = _expm1(w)
-            c = widths[lo:hi, None] * _h(w, z)
-            if outer:
-                z, cv = z[:, :, None], c[:, :, None] * vals[lo:hi, None, :]
-            else:
-                cv = c * (vals[lo:hi] if per_mode else vals[lo:hi, None])
             for k in range(hi - lo - 1, -1, -1):
-                acc += z[k] * acc
-                acc += cv[k]
+                c = z[k] * inv
+                if bad.size:
+                    c[bad] = widths[lo + k] * _h(w[k, bad], z[k, bad])
+                v = vals[lo + k]
+                if cols is not None:
+                    r = v[0] * cols[0]
+                    for j in range(1, len(cols)):
+                        r += v[j] * cols[j]
+                    c *= r
+                elif outer:
+                    c = c[:, None] * v
+                else:
+                    c *= v
+                acc += z[k][..., None] * acc if outer else z[k] * acc
+                acc += c
                 if lo + k == starts[-1]:
                     done.append(acc)
                     acc = np.zeros(shape, dtype=complex)

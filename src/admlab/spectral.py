@@ -204,6 +204,23 @@ def _weighted_norm(factor: np.ndarray, coefficients: np.ndarray) -> float:
     return math.sqrt(terms.sum())
 
 
+def _weighted_norms(factor: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`_weighted_norm` of each row of ``rows`` (T×n), in one pass.
+
+    A row's terms are summed along the row, as a 1-d sum would, so each norm
+    is bit for bit the one-vector norm.  The one-vector form stays separate:
+    it runs once per input-map image, where the row form's masks would add
+    about 3 µs a call.
+    """
+    terms = np.abs(rows)
+    with np.errstate(over="ignore"):
+        terms *= terms
+        terms *= factor
+    norms = np.sqrt(terms.sum(axis=1))
+    norms[~(terms <= _OVERFLOW).all(axis=1)] = math.inf
+    return norms
+
+
 def semigroup_apply(A: DiagonalGenerator, t: float, x: SpectralVector) -> SpectralVector:
     """x_n -> e^{lambda_n t} x_n; scale tag preserved; requires t >= 0."""
     _check_aligned(A, x)

@@ -218,6 +218,43 @@ def test_iss_rejects_a_negative_gain_slope():
         iss_certificate(A, B, n_trials=1, adm_bound_override=-1.0)
 
 
+BAD_ENVELOPE_ARGS = {
+    "no sample time": ({"n_times": 0}, "one sample time"),
+    "negative sample count": ({"n_times": -3}, "one sample time"),
+    "no trial": ({"n_trials": 0}, "one trial"),
+    "negative trial count": ({"n_trials": -1}, "one trial"),
+    "fractional trial count": ({"n_trials": 2.5}, "n_trials must be a whole number"),
+    "boolean trial count": ({"n_trials": True}, "n_trials must be a whole number"),
+    "infinite horizon": ({"horizon": math.inf}, "horizon must be finite and positive"),
+    "nan horizon": ({"horizon": math.nan}, "horizon must be finite and positive"),
+    "zero horizon": ({"horizon": 0.0}, "horizon must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("certificate", ["iss", "iiss"])
+@pytest.mark.parametrize("case", sorted(BAD_ENVELOPE_ARGS))
+def test_envelope_certificates_name_bad_arguments(certificate, case, monkeypatch):
+    # the arguments are checked before any bound or trial is computed
+    kwargs, message = BAD_ENVELOPE_ARGS[case]
+    monkeypatch.setattr(certify, "_envelope_trials", None)
+    monkeypatch.setattr(certify, "_uniform_upper", None)
+    monkeypatch.setattr(certify, "orlicz_adm_bound", None)
+    A = DiagonalGenerator([-1.0, -2.0])
+    with pytest.raises(CertifyError, match=message):
+        if certificate == "iss":
+            iss_certificate(A, InputOperator.aminus_x0([1.0, 0.5]), **kwargs)
+        else:
+            iiss_certificate(A, [1.0, 0.5], power_young(2.0, 0.5), **kwargs)
+
+
+def test_envelope_certificates_take_integral_floats():
+    A = DiagonalGenerator([-1.0, -2.0])
+    B = InputOperator.aminus_x0([1.0, 0.5])
+    out = iss_certificate(A, B, n_trials=3.0, n_times=2.0, seed=1)
+    assert out["n_trials"] == 3 and type(out["n_trials"]) is int
+    assert out == iss_certificate(A, B, n_trials=3, n_times=2, seed=1)
+
+
 def test_iss_certificate_clean_run():
     A = DiagonalGenerator([-float(n) for n in range(1, 9)])
     x0 = np.zeros(8, dtype=complex)
@@ -235,19 +272,27 @@ def test_envelope_counts_a_state_outside_x_as_a_violation(monkeypatch):
     # Xm1, and the envelope must count it as lhs = inf without measuring it.
     A = DiagonalGenerator([-1.0, -2.0])
     B = InputOperator.columns(np.array([[1e300], [0.5]]))
-    measured = certify.space_norm
+    measured_rows = []
+    norms = certify._weighted_norms
 
-    def space_norm(A, x):
-        assert x.scale != "Xm1", "took the norm of a state outside X"
-        return measured(A, x)
+    def weighted_norms(factor, rows):
+        measured_rows.append(len(rows))
+        return norms(factor, rows)
 
-    monkeypatch.setattr(certify, "space_norm", space_norm)
+    monkeypatch.setattr(certify, "_weighted_norms", weighted_norms)
     with pytest.warns(UserWarning, match="left X numerically"):
         max_ratio, violations = _envelope_trials(
-            A, B, lambda u: 1.0, n_trials=2, horizon=1.0, seed=0, n_times=3)
+            A, B, lambda u, times: np.ones(len(times)), n_trials=2, horizon=1.0, seed=0,
+            n_times=3)
+    assert sum(measured_rows) == 0, "took the norm of a state outside X"
     assert max_ratio == math.inf
     assert len(violations) == 6
     assert all(v["lhs"] == math.inf for v in violations)
+    # the guard watches the pass that measures states inside X
+    B = InputOperator.columns(np.array([[1.0], [0.5]]))
+    _envelope_trials(A, B, lambda u, times: np.ones(len(times)), n_trials=2, horizon=1.0,
+                     seed=0, n_times=3)
+    assert sum(measured_rows) == 6
 
 
 def test_iss_certificate_undersized_gain_raises():

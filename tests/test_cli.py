@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +148,28 @@ def test_seeded_command_requires_seed(tmp_path, capsys):
     assert main(["iss", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
     assert "seed" in capsys.readouterr().err
     assert main(["iss", "--scenario", scn, "--seed", "4", "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command", ["iss", "iiss"])
+@pytest.mark.parametrize("bad, message", [
+    ({"trials": 0}, "trials"),
+    ({"trials": -1}, "trials"),
+    ({"trials": 2.5}, "trials"),
+    ({"horizon": math.inf}, "horizon must be finite and positive"),
+    ({"horizon": math.nan}, "horizon must be finite and positive"),
+    ({"horizon": -1.0}, "horizon"),
+])
+def test_bad_certificate_arguments_exit_1_with_a_named_error(
+        tmp_path, capsys, command, bad, message):
+    # JSON Infinity and NaN pass the schema's exclusiveMinimum; the
+    # certificate names them before numpy sees them
+    scn = _write(tmp_path, f"{command}.json", {**RERUN_SCENARIOS[command], **bad})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "evaluation time" not in err
 
 
 def test_certificate_violation_exits_2_with_dump(tmp_path, capsys):

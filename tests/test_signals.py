@@ -57,6 +57,8 @@ ORACLE_CASES = {
     "probe-growing": (-1.0 + 0.5j, -30.0 - 2.0j),
     "probe-lambda-eq-mu": (-2.0 + 1.0j, -2.0 + 1.0j),
     "lambda-zero": (0.0, None),
+    "subnormal-lambda": (2.0**-1023 * 1j, None),
+    "probe-subnormal-w": (2.0**-1023 * (1 + 1j), 0.0),
 }
 
 
