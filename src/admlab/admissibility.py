@@ -58,12 +58,11 @@ from .orlicz import (
     luxemburg_norm,
 )
 from .signals import (
-    _BLOCK_ENTRIES,
     _GRID_ENTRIES,
     PiecewiseSignal,
     _block_rows,
-    _expdiff_matrix,
     _expm1,
+    _grid_grams,
     _horner,
     _phase_search,
     mode_integrals,
@@ -475,21 +474,21 @@ def _chain_lower(A: DiagonalGenerator, t: float) -> float:
     doubling |Re| steps; channel m runs the indicator of
     [1/(2|Re lambda|), 1/|Re lambda|] scaled to a unit state-space piece, so
     the squared norms add exactly:  sum_m |e^{lambda_m b_m} - e^{lambda_m a_m}|^2.
+    The greedy pick after |Re| = r is the first mode in ``argsort`` order
+    with |Re| >= 2r(1 - 1e-9), found by ``searchsorted``: one jump per link
+    of the chain, not one Python step per mode.
     """
     lam = A.eigenvalues
-    r = -lam.real
-    order = np.argsort(r)
+    order = np.argsort(-lam.real)
+    rs = -lam.real[order]
     picked = []
-    prev = None
-    for idx in order:
-        if r[idx] < 1.0 / t:
-            continue
-        if prev is None or r[idx] >= 2.0 * prev * (1.0 - 1e-9):
-            picked.append(idx)
-            prev = r[idx]
+    i = int(np.searchsorted(rs, 1.0 / t))
+    while i < rs.size:
+        picked.append(i)
+        i = int(np.searchsorted(rs, 2.0 * rs[i] * (1.0 - 1e-9)))
     if not picked:
         return 0.0
-    sel = lam[np.array(picked)]
+    sel = lam[order[picked]]
     rs = -sel.real
     with np.errstate(under="ignore"):
         summands = np.abs(np.exp(sel / rs) - np.exp(sel / (2.0 * rs))) ** 2
@@ -505,6 +504,17 @@ def _lower_bound(
     restarts: int,
     iters: int,
 ) -> tuple[float, str, list[float] | None]:
+    """Achievable lower bound on ||Phi_t||: the closed-form probe and chain
+    for the full diagonal, else the best column's phase search over K =
+    ``n_pieces`` equal pieces.
+
+    The phase search runs on each column's Gram from
+    :func:`signals._grid_grams`, which the uniform grid makes a sum of
+    powers: O(n) exponentials where the dense n×K matrix took O(n·K), and one
+    real product per block of modes for every column at once, O(n·m·K²)
+    time at most.  Each search runs its restarts as one block, O(iters)
+    Python steps where one restart at a time took O(restarts·iters).
+    """
     lam = A.eigenvalues
     if B.kind == "aminus_full":
         probe = float(np.max(np.abs(_expm1(lam * t))))
@@ -512,24 +522,23 @@ def _lower_bound(
         if chain > probe:
             return chain, "closed-form(chain)", None
         return probe, "closed-form(probe)", None
-    # Column j's phase-search Gram G_j = M_j* diag(w) M_j, M_j = diag(b_j) E,
-    # summed over row blocks of E: O(n K^2) time, O(K^2 + block) memory.
-    bp = np.linspace(0.0, t, n_pieces + 1)
-    cols = B._coefficients(A)
-    grams = np.zeros((cols.shape[1], n_pieces, n_pieces), dtype=complex)
-    step = _block_rows(n_pieces, _BLOCK_ENTRIES)
-    for i0 in range(0, A.n_modes, step):
-        rows = slice(i0, i0 + step)
-        E = _expdiff_matrix(lam[rows], bp)
-        w = A.weights[rows, None]
-        for j, gram in enumerate(grams):
-            M = cols[rows, j, None] * E
-            gram += M.conj().T @ (w * M)
+    grams = _grid_grams(lam, A.weights, B._coefficients(A), t, n_pieces)
     vals = [
         _phase_search(gram, False, restarts, iters, seed + j)[1]
         for j, gram in enumerate(grams)
     ]
     return max(vals), "phase-search", vals
+
+
+def _check_horizon(t) -> None:
+    """A finite positive horizon, else an AdmissibilityError naming it."""
+    if t == math.inf:
+        raise AdmissibilityError(
+            "horizon must be finite, got inf; infinite_time_sup bounds the "
+            "supremum over t"
+        )
+    if not 0.0 < t < math.inf:
+        raise AdmissibilityError(f"horizon must be finite and positive, got {t!r}")
 
 
 def linfty_bounds(
@@ -550,10 +559,21 @@ def linfty_bounds(
     per-column bounds stay bounded while the operator norm may grow, which is
     exactly what the divergence construction exhibits — so its headline upper
     bound is infinite by design.
+
+    Lower bound: the best column's phase search over ``n_pieces`` equal
+    pieces (``restarts`` starts, at most ``iters`` steps each), or closed-form
+    probe and chain inputs for the full diagonal.  It costs O(n) exponentials
+    (not O(n·K)), one real product per block of modes for all m columns, and
+    O(iters) Python steps per column (not O(restarts·iters)).  ``t`` must be
+    finite and positive (:func:`infinite_time_sup` takes the supremum), and
+    ``n_pieces`` an integer >= 1.
     """
+    _check_horizon(t)
+    if isinstance(n_pieces, bool) or not (
+        isinstance(n_pieces, (int, np.integer)) and n_pieces >= 1
+    ):
+        raise AdmissibilityError(f"n_pieces must be an integer >= 1, got {n_pieces!r}")
     B.check_alignment(A)
-    if not t > 0.0:
-        raise AdmissibilityError("horizon must be positive")
     routes, col_uppers = _upper_routes(A, B, t)
     route, upper = _best_route(routes)
     per_column = {"upper": col_uppers.tolist()}
@@ -731,6 +751,11 @@ def infinite_time_sup(
     if space == "Linf":
         if horizons is None:
             horizons = [0.25 / A.delta, 1.0 / A.delta, 4.0 / A.delta]
+        horizons = list(horizons)
+        if not horizons:
+            raise AdmissibilityError("the Linf supremum needs at least one horizon")
+        for t in horizons:
+            _check_horizon(t)
         reports = [
             linfty_bounds(A, B, t, n_pieces=n_pieces, seed=seed) for t in horizons
         ]
@@ -781,8 +806,10 @@ def zero_class_profile(
     long as some |lambda_n| t stays of order 1).
     """
     ts = sorted(float(t) for t in t_grid)
-    if not ts or ts[0] <= 0.0:
+    if not ts:
         raise AdmissibilityError("need a positive horizon grid")
+    for t in ts:
+        _check_horizon(t)
     reports = [
         linfty_bounds(A, B, t, n_pieces=n_pieces, seed=seed, restarts=4, iters=80)
         for t in ts

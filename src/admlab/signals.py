@@ -56,8 +56,9 @@ __all__ = [
     "random_signal",
 ]
 
-_BLOCK_ENTRIES = 4096  # complex mode-piece entries per block, 64 KB (_horner, Grams)
+_BLOCK_ENTRIES = 4096  # complex mode-piece entries per block, 64 KB (_horner)
 _GRID_ENTRIES = 1 << 16  # real points-by-modes entries per grid block (512 KB)
+_FLUSH = 2.0**-300  # a power |ρ^k|² below this is 0 in the phase-search Grams
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double, 2^-1022
 
 
@@ -323,13 +324,80 @@ class PiecewiseSignal:
         )
 
 
-def _expdiff_matrix(lams: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """E[n, k] = (e^{λ_n s_{k+1}} - e^{λ_n s_k})/λ_n as e^{λ_n s_k} Δ_k h(λ_n Δ_k)."""
-    lams = np.asarray(lams, dtype=complex).reshape(-1, 1)
-    left = edges[:-1].reshape(1, -1)
-    widths = np.diff(edges).reshape(1, -1)
-    with np.errstate(under="ignore"):
-        return np.exp(lams * left) * widths * _h(lams * widths)
+def _powers(x: np.ndarray, K: int) -> np.ndarray:
+    """Rows x^0, ..., x^{K-1} as a (K, n) array, by doubling: rows h..2h-1
+    are rows 0..h-1 times x^h, so O(n·K) multiplies in O(log K) products and
+    at most about 2 log2(K) roundings per entry."""
+    P = np.empty((K, x.size), dtype=x.dtype)
+    P[0] = 1.0
+    step, h = x, 1
+    while h < K:
+        r = min(h, K - h)
+        np.multiply(P[:r], step, out=P[h : h + r])
+        h += r
+        if h < K:
+            step = step * step
+    return P
+
+
+def _grid_grams(lams, weights, coeffs, t: float, n_pieces: int) -> np.ndarray:
+    """The phase-search Grams G_j = M_j* diag(w) M_j, M_j = diag(b_j) E, of
+    every column b_j of ``coeffs`` (n×m) on the uniform grid s_k = kΔ,
+    Δ = t/K, K = ``n_pieces``; returns an (m, K, K) array.
+
+    On that grid E[n, k] = e^{λ_n s_k} Δ h(λ_nΔ) = ρ_n^k e_n, with ρ_n =
+    e^{λ_nΔ} and e_n = Δ h(λ_nΔ), so
+
+        ``G_j[k, k+d] = Σ_n c_nj a_n^k ρ_n^d``,  a_n = |ρ_n|²,
+        c_nj = w_n |b_nj|² |e_n|²,
+
+    and G_j is Hermitian.  That is one exp and one :func:`_h` per mode, the
+    powers by :func:`_powers` (O(n·K) multiplies, no O(n·K) exponentials),
+    and for all m columns at once one real product per block of modes,
+    [Re ρ^d; Im ρ^d] times [c_j a^k] transposed: O(n·m·K²) time at most.
+
+    A power with |ρ^k|² below 2^-300 is set to 0: every term it carries is
+    below 2^-300 of the diagonal entry G_j[0, 0] = Σ_n c_nj, and subnormal
+    operands would slow the product several-fold.  The modes run from the
+    slowest decay to the fastest, and a block keeps only the powers its
+    slowest mode keeps alive, L ≤ K of them, with about ``_GRID_ENTRIES``
+    real entries over all its arrays.  On a spectrum whose decay spreads
+    over decades most modes keep a few powers, so the product shrinks from
+    O(m·K²) to O(m·L²) per mode, and memory stays O(m·K² + block).
+    """
+    K, m = n_pieces, coeffs.shape[1]
+    dt = t / K
+    order = np.argsort(lams.real)[::-1]  # slowest decay first
+    mom = np.zeros((2, K, m, K))  # [Re/Im, d, j, k]
+    budget = -0.5 * math.log(_FLUSH)  # a^k >= _FLUSH while k·(-Re λ)Δ <= budget
+    i = 0
+    while i < lams.size:
+        rate = -float(lams.real[order[i]]) * dt  # the block's slowest decay
+        L = min(K, int(budget / rate) + 2) if rate * K > budget else K  # one spare
+        idx = order[i : i + max(1, _GRID_ENTRIES // ((m + 8) * (L + 1)))]
+        i += idx.size
+        w = lams[idx] * dt
+        with np.errstate(under="ignore"):
+            P = _powers(np.exp(w), L)
+            e = _h(w)
+            we = weights[idx] * dt * dt * (e.real**2 + e.imag**2)  # w_n |e_n|²
+            cb = coeffs[idx]
+            c = (cb.real**2 + cb.imag**2) * we[:, None]
+            pa = P.real**2 + P.imag**2  # a^k = |ρ^k|²
+            dead = pa < _FLUSH
+            pa[dead] = 0.0
+            P[dead] = 0.0
+            S = np.concatenate([P.real, P.imag])  # rows Re ρ^d, then Im ρ^d
+            R = np.empty((m, L, idx.size))
+            for j in range(m):
+                np.multiply(pa, c[:, j], out=R[j])
+            mom[:, :L, :, :L] += (S @ R.reshape(m * L, -1).T).reshape(2, L, m, L)
+    mom = (mom[0] + 1j * mom[1]).transpose(1, 2, 0)  # [j, k, d]
+    k, l = np.triu_indices(K)
+    G = np.empty((m, K, K), dtype=complex)
+    G[:, k, l] = mom[:, k, l - k]
+    G[:, l, k] = G[:, k, l].conj()
+    return G
 
 
 def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
@@ -501,41 +569,48 @@ def _phase_search(
 
     Iterates v ← phase(G v) (sign(Re G v) over the real field), which never
     decreases the objective, from the all-ones start and seeded random
-    restarts; returns the best iterate and its value.
+    restarts; returns the best iterate and its value.  The restarts run as
+    the columns of one K×R block, one product G @ V per iteration for the
+    restarts still live, so the Python steps are O(iters), not
+    O(restarts·iters).  Each restart keeps its own stopping rule (a step
+    that gains less than 1e-14 relative is its last, and is taken only if
+    it gains), the starts are the seeded draws of one restart at a time,
+    and the first restart with the best value wins.
     """
     K = G.shape[0]
-
-    def value(v: np.ndarray) -> float:
-        q = float(np.real(np.vdot(v, G @ v)))
-        return math.sqrt(max(q, 0.0))
-
     rng = np.random.default_rng(seed)
-    best_v = np.ones(K, dtype=complex)
-    best_val = value(best_v)
-    for trial in range(max(1, restarts)):
-        if trial == 0:
-            v = np.ones(K, dtype=complex)
-        elif real_field:
-            v = rng.choice([-1.0, 1.0], size=K).astype(complex)
+    V = np.ones((K, max(1, restarts)), dtype=complex)
+    for r in range(1, V.shape[1]):
+        if real_field:
+            V[:, r] = rng.choice([-1.0, 1.0], size=K)
         else:
-            v = np.exp(2j * math.pi * rng.random(K))
-        cur = value(v)
-        for _ in range(max(1, iters)):
-            g = G @ v
-            if real_field:
-                v_new = np.where(g.real >= 0.0, 1.0, -1.0).astype(complex)
-            else:
-                absg = np.abs(g)
-                v_new = np.where(absg > 0.0, g / np.where(absg > 0.0, absg, 1.0), v)
-            new = value(v_new)
-            if new <= cur * (1.0 + 1e-14):
-                v = v_new if new > cur else v
-                cur = max(new, cur)
-                break
-            v, cur = v_new, new
-        if cur > best_val:
-            best_val, best_v = cur, v
-    return best_v, best_val
+            V[:, r] = np.exp(2j * math.pi * rng.random(K))
+    GV = G @ V
+    cur = _phase_values(V, GV)
+    live = np.arange(V.shape[1])
+    for _ in range(max(1, iters)):
+        g = GV[:, live]
+        if real_field:
+            v_new = np.where(g.real >= 0.0, 1.0, -1.0).astype(complex)
+        else:
+            absg = np.abs(g)
+            v_new = np.where(absg > 0.0, g / np.where(absg > 0.0, absg, 1.0), V[:, live])
+        g_new = G @ v_new
+        new = _phase_values(v_new, g_new)
+        old = cur[live]
+        up = new > old
+        gained = live[up]
+        V[:, gained], GV[:, gained], cur[gained] = v_new[:, up], g_new[:, up], new[up]
+        live = live[new > old * (1.0 + 1e-14)]
+        if not live.size:
+            break
+    best = int(np.argmax(cur))
+    return V[:, best].copy(), float(cur[best])
+
+
+def _phase_values(V: np.ndarray, GV: np.ndarray) -> np.ndarray:
+    """sqrt(max(Re v* G v, 0)) for each column v of V, given G @ V."""
+    return np.sqrt(np.maximum(np.einsum("kr,kr->r", V.conj(), GV).real, 0.0))
 
 
 def random_signal(

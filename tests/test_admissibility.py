@@ -1,6 +1,7 @@
 """Input maps, norm bounds per signal space, and certificate identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,42 @@ def test_aminus_x0_is_the_one_column_lambda_x0():
         got = input_map(A, rank_one, signal).coefficients
         want = input_map(A, column, signal).coefficients
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def _bad_linfty_calls():
+    A = DiagonalGenerator(LAMS)
+    B = InputOperator.columns(np.eye(4)[:, :2])
+    return {
+        "infinite horizon": (lambda: linfty_bounds(A, B, math.inf), "infinite_time_sup"),
+        "nan horizon": (lambda: linfty_bounds(A, B, math.nan), "finite and positive"),
+        "zero horizon": (lambda: linfty_bounds(A, B, 0.0), "finite and positive"),
+        "no pieces": (lambda: linfty_bounds(A, B, 1.0, n_pieces=0), "n_pieces"),
+        "half pieces": (lambda: linfty_bounds(A, B, 1.0, n_pieces=2.5), "n_pieces"),
+        "float pieces": (lambda: linfty_bounds(A, B, 1.0, n_pieces=8.0), "n_pieces"),
+        "bool pieces": (lambda: linfty_bounds(A, B, 1.0, n_pieces=True), "n_pieces"),
+        "no horizons": (
+            lambda: infinite_time_sup(A, B, "Linf", horizons=[]), "at least one horizon"),
+        "infinite sup horizon": (
+            lambda: infinite_time_sup(A, B, "Linf", horizons=[0.5, math.inf]), "finite"),
+        "infinite grid horizon": (
+            lambda: zero_class_profile(A, B, [0.5, math.inf]), "finite"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_linfty_calls()))
+def test_bad_linfty_arguments_are_named_errors(case):
+    call, message = _bad_linfty_calls()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # named before numpy sees them
+        with pytest.raises(AdmissibilityError, match=message):
+            call()
+
+
+def test_linfty_bounds_take_numpy_integer_pieces():
+    A = DiagonalGenerator(LAMS)
+    B = InputOperator.columns(np.eye(4)[:, :2])
+    want = linfty_bounds(A, B, 1.0, n_pieces=8)
+    assert linfty_bounds(A, B, 1.0, n_pieces=np.int64(8)) == want
 
 
 def test_zero_class_profile_flags():

@@ -172,6 +172,23 @@ def test_bad_certificate_arguments_exit_1_with_a_named_error(
     assert "evaluation time" not in err
 
 
+@pytest.mark.parametrize("horizons, message", [
+    ([0.5, math.inf], "infinite_time_sup"),
+    ([0.5, math.nan], "horizon must be finite and positive"),
+])
+def test_non_finite_adm_horizon_exits_1_with_a_named_error(
+        tmp_path, capsys, horizons, message):
+    # JSON Infinity and NaN pass the schema; the bounds name them before
+    # numpy sees them, so no report holds a NaN lower bound
+    scn = _write(tmp_path, "adm.json", {**ADM_SCENARIO, "horizons": horizons})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["adm", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "NaN" not in err
+
+
 def test_certificate_violation_exits_2_with_dump(tmp_path, capsys):
     scn = _write(tmp_path, "iss.json", {
         "generator": {"eigenvalues": [[-1.0, 0.0], [-2.0, 0.0]]},

@@ -23,8 +23,9 @@ from admlab import signals
 from admlab.admissibility import InputOperator, _Stepper, trajectory
 from admlab.certify import _envelope_trials
 from admlab.cli import run
-from admlab.signals import PiecewiseSignal, _expdiff_matrix, mode_integrals
+from admlab.signals import PiecewiseSignal, mode_integrals
 from admlab.spectral import DiagonalGenerator, SpectralVector
+from dense_lower import expdiff_matrix
 
 REL = 1e-13
 FLOOR = 1e-290  # below this, subnormal results carry no relative accuracy
@@ -49,7 +50,7 @@ def _signal(rng, n, layout, horizon):
 def _dense(lams, u):
     """The n x K closed form E[n, k] = e^{lambda s_k} Delta_k h(lambda Delta_k), summed."""
     with np.errstate(under="ignore"):
-        E = _expdiff_matrix(lams, u.breakpoints)
+        E = expdiff_matrix(lams, u.breakpoints)
     if u.per_mode:
         return np.einsum("nk,kn->n", E, u.values), np.einsum(
             "nk,kn->n", np.abs(E), np.abs(u.values))

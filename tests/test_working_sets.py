@@ -19,8 +19,9 @@ from admlab.admissibility import InputOperator, linfty_bounds, orlicz_adm_bound
 from admlab.certify import counterexample_run, weiss_check
 from admlab.cli import emit_plotdata
 from admlab.orlicz import power_young
-from admlab.signals import _expdiff_matrix, worst_case_phases
+from admlab.signals import worst_case_phases
 from admlab.spectral import DiagonalGenerator
+from dense_lower import expdiff_matrix
 
 CAP_MB = 8.0
 
@@ -126,7 +127,7 @@ def test_gram_blocks_match_the_phase_search_on_the_whole_matrix():
     A, _, cols = _system(1024)  # 256 modes a block for 16 pieces: 4 blocks
     t = 1.0 / A.delta
     rep = linfty_bounds(A, InputOperator.columns(cols), t, seed=5)
-    E = _expdiff_matrix(A.eigenvalues, np.linspace(0.0, t, 17))
+    E = expdiff_matrix(A.eigenvalues, np.linspace(0.0, t, 17))
     for j, low in enumerate(rep.per_column["lower"]):
         _, whole = worst_case_phases(E, A.weights, cols[:, j], seed=5 + j)
         assert low == pytest.approx(whole, rel=1e-15, abs=0.0)
