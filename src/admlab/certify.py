@@ -46,7 +46,7 @@ from .admissibility import (
     _upper_routes,
     orlicz_adm_bound,
 )
-from .orlicz import OrliczError, SampledFunction, YoungFunction, luxemburg_norm, modular
+from .orlicz import SampledFunction, YoungFunction, luxemburg_norm, modular
 from .signals import (
     _GRID_ENTRIES,
     PiecewiseSignal,
@@ -632,89 +632,71 @@ def iiss_certificate(
 
 
 def _power_profile_modular(c: float, a: float, phi: YoungFunction) -> dict:
-    """integral_0^1 Phi(c s^a) ds by exact dyadic-level closed forms.
+    """integral_0^1 Phi(c s^a) ds in closed form between segment crossings.
 
-    Levels ``[2^{-j-1}, 2^{-j}]`` are integrated exactly (splitting at the
-    finitely many s where ``c s^a`` crosses a density breakpoint of Phi); once
-    the profile range sits inside a single segment for all deeper levels the
-    remaining mass is a geometric/logarithmic tail in closed form.  Divergent
-    cases report how many levels an escalating scan would need to push the
-    partial sums past the 1e6 threshold — computed arithmetically, since the
-    log-marginal case needs millions of levels.
+    c s^a is monotone, so it meets each breakpoint x_i of Phi at most once, at
+    log s_i = (log x_i - log c)/a.  Cut at the crossings inside (0, 1), every
+    piece lies in one segment, where Phi(c s^a) = offset + coef c^expo
+    s^(a expo) has a closed-form integral, taken in log space so that no
+    power of an underflowing s is formed.  The bottom piece (0, s*], with s*
+    the deepest crossing (1 without one), is the tail: it lies in the last
+    segment for a < 0 and in the first for a > 0 (unless a crossing lies
+    below double range), and it is finite when a expo > -1.
+
+    ``levels_scanned`` is ceil(-log2 s*), the dyadic level [2^-j-1, 2^-j] at
+    which a scan from s = 1 reaches the tail.  A divergent tail reports how
+    many levels such a scan needs to push the partial sums past 1e6
+    (``escalation_levels``), computed arithmetically from 2^-levels_scanned,
+    since the log-marginal case needs millions of levels; a count beyond
+    double range reads inf.
     """
-    segs = phi.segments
-    bx = np.array([s.x0 for s in segs])
-
-    def seg_index(x: float) -> int:
-        return max(0, int(np.searchsorted(bx, x, side="right")) - 1)
-
-    def seg_terms(i: int) -> tuple[float, float, float]:
-        """Phi(c s^a) = A0 + B s^beta on segment i."""
-        seg = segs[i]
-        cum = phi(bx[i])
-        if seg.kind == "power":
-            rp1 = seg.r + 1.0
-            A0 = cum - seg.c / rp1 * bx[i] ** rp1
-            Bc = seg.c / rp1 * c**rp1
-            return A0, Bc, a * rp1
-        return cum - seg.c * bx[i], seg.c * c, a
-
-    def piece_integral(p: float, q: float, i: int) -> float:
-        A0, Bc, beta = seg_terms(i)
-        if abs(beta + 1.0) < 1e-12:
-            power_part = Bc * math.log(q / p)
-        else:
-            power_part = Bc / (beta + 1.0) * (q ** (beta + 1.0) - p ** (beta + 1.0))
-        return A0 * (q - p) + power_part
-
     if a == 0.0 or c == 0.0:
-        val = float(phi(c))
-        return {"modular": val, "diverged": False, "levels_scanned": 0,
+        return {"modular": float(phi(c)), "diverged": False, "levels_scanned": 0,
                 "escalation_levels": None}
+    x, offset, coef, expo = phi.terms
+    log_c, ln2 = math.log(c), math.log(2.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        # log s where c s^a meets x_i (and x = oo), clipped at s = 1
+        cross = np.minimum((np.log(np.append(x, np.inf)) - log_c) / a, 0.0).tolist()
+        scale = (coef * np.exp(expo * log_c)).tolist()  # coef c^expo
+    offset, expo = offset.tolist(), expo.tolist()
+
+    def piece(i: int, lo: float, hi: float) -> float:
+        """integral of Phi(c s^a) over s in [e^lo, e^hi] on segment i."""
+        if lo >= hi:
+            return 0.0
+        g = a * expo[i] + 1.0
+        try:
+            if abs(g) < 1e-12:
+                power = scale[i] * (hi - lo)
+            else:
+                power = scale[i] / g * (math.exp(g * hi) - math.exp(g * lo))
+        except OverflowError:
+            return math.inf
+        return offset[i] * (math.exp(hi) - math.exp(lo)) + power
+
     total = 0.0
-    j = 0
-    while True:
-        s_hi = 2.0**-j
-        f_hi = c * s_hi**a
-        # single-segment regime for this level and all deeper ones?
-        if a < 0.0:
-            regime = f_hi >= bx[-1]
-        else:
-            regime = len(segs) == 1 or f_hi <= bx[1]
-        if regime:
+    # segments from s = 1 downwards, up to the tail piece (0, s*]
+    for i in range(len(x)) if a < 0.0 else range(len(x) - 1, -1, -1):
+        lo, hi = sorted((cross[i], cross[i + 1]))
+        if lo == -math.inf:
             break
-        s_lo = 0.5 * s_hi
-        cuts = [s_lo, s_hi]
-        for x0 in bx[1:]:
-            s_cross = (x0 / c) ** (1.0 / a)
-            if s_lo < s_cross < s_hi:
-                cuts.append(float(s_cross))
-        cuts = sorted(set(cuts))
-        for p, q in zip(cuts[:-1], cuts[1:]):
-            mid = math.sqrt(p * q)
-            total += piece_integral(p, q, seg_index(c * mid**a))
-        j += 1
-        if j > 100_000:
-            raise OrliczError("level walk failed to reach a single segment")
-    # analytic tail over s in (0, 2^{-j}] inside one segment
-    s_top = 2.0**-j
-    i = seg_index(c * (0.5 * s_top) ** a)
-    A0, Bc, beta = seg_terms(i)
-    if beta + 1.0 > 1e-12:
-        tail = A0 * s_top + Bc / (beta + 1.0) * s_top ** (beta + 1.0)
-        return {"modular": total + tail, "diverged": False, "levels_scanned": j,
-                "escalation_levels": None}
-    # diverging power part; count the levels an escalating scan would need
-    remaining = max(_DIVERGENCE_THRESHOLD - total, 0.0)
-    if abs(beta + 1.0) <= 1e-12:
-        increment = Bc * math.log(2.0)
-        levels = j + int(math.ceil(remaining / increment))
-    else:
-        rho = 2.0 ** -(beta + 1.0)  # > 1
-        first = piece_integral(0.5 * s_top, s_top, i)
-        levels = j + int(
-            math.ceil(math.log1p(remaining * (rho - 1.0) / first) / math.log(rho))
-        )
+        total += piece(i, lo, hi)
+    j = math.ceil(-hi / ln2)
+    g = a * expo[i] + 1.0
+    if g > 1e-12:
+        return {"modular": total + piece(i, lo, hi), "diverged": False,
+                "levels_scanned": j, "escalation_levels": None}
+    # divergent tail: count the levels an escalating scan from 2^-j needs
+    top = -j * ln2
+    remaining = np.float64(max(_DIVERGENCE_THRESHOLD - total - piece(i, top, hi), 0.0))
+    with np.errstate(all="ignore"):
+        if g >= -1e-12:  # every level adds scale * ln 2
+            count = remaining / (scale[i] * ln2)
+        else:  # level masses grow by rho = 2^-g > 1
+            rho = np.exp2(-g)
+            count = np.log1p(remaining * (rho - 1.0) / piece(i, top - ln2, top)) / np.log(rho)
+    levels = j + math.ceil(count) if math.isfinite(count) else math.inf
     return {"modular": math.inf, "diverged": True, "levels_scanned": j,
             "escalation_levels": levels}
 
@@ -729,16 +711,19 @@ def shift_demo(profile, phi: YoungFunction) -> dict:
     matter: the report carries ``integral_0^1 Phi(|f|)``, which is finite for
     every bounded profile but diverges e.g. for ``f(s) = s^{-1/2}/2`` against
     ``Phi(x) = x^2`` (the report then states the escalation depth at which
-    partial sums pass 1e6).
+    partial sums pass 1e6).  A power profile ``{"kind": "power", "coeff": c,
+    "exponent": a}`` is integrated in closed form between the points where
+    c s^a crosses a breakpoint of Phi (see ``_power_profile_modular``).  A
+    non-finite c or a, and a finite modular beyond double range (of either
+    profile kind), raise a CertifyError.
     """
     if isinstance(profile, SampledFunction):
         if profile.tail_rate is not None or profile.edges[-1] > 1.0 + 1e-12:
             raise CertifyError("sampled shift profiles live on (0, 1)")
         l1 = float(np.dot(np.abs(profile.values), profile.widths))
-        mod = modular(phi, profile, 1.0)
         detail = {
-            "modular": mod,
-            "diverged": not math.isfinite(mod),
+            "modular": modular(phi, profile, 1.0),
+            "diverged": False,  # a bounded profile: Phi(|f|) is bounded
             "levels_scanned": 0,
             "escalation_levels": None,
         }
@@ -748,10 +733,18 @@ def shift_demo(profile, phi: YoungFunction) -> dict:
         if kind != "power":
             raise CertifyError(f"unknown shift profile kind {kind!r}")
         c, a = float(profile["coeff"]), float(profile["exponent"])
+        if not (math.isfinite(c) and math.isfinite(a)):
+            raise CertifyError(
+                f"power profiles need a finite coeff and exponent, got {c!r} and {a!r}"
+            )
         if c < 0.0 or a <= -1.0:
             raise CertifyError("power profiles need coeff >= 0 and exponent > -1")
         l1 = c / (a + 1.0)
         detail = _power_profile_modular(c, a, phi)
+    if not (detail["diverged"] or math.isfinite(detail["modular"])):
+        raise CertifyError(
+            f"the modular of the {kind} profile is finite but overflows double precision"
+        )
     return {
         "profile_kind": kind,
         "l1": l1,

@@ -94,14 +94,6 @@ class Segment:
         return self.c
 
 
-def _segment_integral(seg: Segment, a: float, b: float) -> float:
-    """integral_a^b of the segment density (exact antiderivative)."""
-    if seg.kind == "power":
-        rp1 = seg.r + 1.0
-        return seg.c / rp1 * (b**rp1 - a**rp1)
-    return seg.c * (b - a)
-
-
 class YoungFunction:
     """Piecewise power/constant density representation of a Young function.
 
@@ -143,25 +135,35 @@ class YoungFunction:
                 "or the zero constant"
             )
         self._segments = segs
-        self._bx = bx
+        self._bx = frozen(bx)
         self._is_pow = np.array([s.kind == "power" for s in segs])
         self._c = np.array([s.c for s in segs], dtype=float)
         self._r = np.where(self._is_pow, [s.r for s in segs], 0.0)
-        cum = np.zeros(len(segs), dtype=float)
-        for i in range(len(segs) - 1):
-            cum[i + 1] = cum[i] + _segment_integral(segs[i], bx[i], bx[i + 1])
-        self._cum = cum
         # On segment i, Phi(x) = offset_i + coef_i * x**expo_i and
         # phi(x) = c_i * x**r_i (r_i = 0 on constant segments).
-        self._expo = self._r + 1.0
-        self._coef = self._c / self._expo
+        self._expo = frozen(self._r + 1.0)
+        self._coef = frozen(self._c / self._expo)
+        cum = np.zeros(len(segs), dtype=float)
         with np.errstate(over="ignore"):
-            self._offset = cum - self._coef * bx**self._expo
+            for i in range(len(segs) - 1):
+                rise = bx[i + 1] ** self._expo[i] - bx[i] ** self._expo[i]
+                cum[i + 1] = cum[i] + self._coef[i] * rise
+            self._offset = frozen(cum - self._coef * bx**self._expo)
+        self._cum = cum
         self._inner = bx[1:]
+        # (x_i, x_{i+1}, offset_i, c_i, expo_i) as Python floats for scalar loops
+        self._rows = tuple(zip(bx.tolist(), bx[1:].tolist() + [math.inf],
+                               self._offset.tolist(), self._c.tolist(), self._expo.tolist()))
 
     @property
     def segments(self) -> tuple[Segment, ...]:
         return self._segments
+
+    @property
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(x, offset, coef, expo)``: on ``[x_i, x_{i+1})``,
+        ``Phi(x) = offset_i + coef_i * x**expo_i``."""
+        return self._bx, self._offset, self._coef, self._expo
 
     @property
     def superlinear(self) -> bool:
@@ -223,32 +225,19 @@ class YoungFunction:
     def phi_over_x_integral(self, y: float) -> float:
         """integral_0^y Phi(v)/v dv in closed form (finite for every y >= 0).
 
-        Per segment, Phi(v)/v = A/v + tail with A = Phi(x_i) - (segment
-        antiderivative at x_i), so the primitive is A*log(v) plus a power/linear
-        term; A = 0 on the first segment, so there is no log divergence at 0.
+        On segment i, Phi(v)/v = offset_i/v + coef_i v**(expo_i - 1), whose
+        primitive is offset_i log(v) + (c_i/expo_i**2) v**expo_i; offset_0 = 0,
+        so there is no log divergence at 0.
         """
-        if y <= 0.0:
-            return 0.0
         total = 0.0
-        segs = self._segments
-        for i, seg in enumerate(segs):
-            lo = seg.x0
-            hi = segs[i + 1].x0 if i + 1 < len(segs) else math.inf
+        for lo, hi, offset, c, expo in self._rows:
             hi = min(hi, y)
             if hi <= lo:
                 break
-            if seg.kind == "power":
-                rp1 = seg.r + 1.0
-                const_a = self._cum[i] - seg.c / rp1 * lo**rp1
-                total += seg.c / rp1**2 * (hi**rp1 - lo**rp1)
-            else:
-                const_a = self._cum[i] - seg.c * lo
-                total += seg.c * (hi - lo)
-            if lo == 0.0:
-                # cum[0] = 0 and the antiderivative vanishes at 0: no log term.
-                continue
-            total += const_a * (math.log(hi) - math.log(lo))
-        return float(total)
+            total += c / expo**2 * (hi**expo - lo**expo)
+            if lo > 0.0:
+                total += offset * (math.log(hi) - math.log(lo))
+        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         parts = ", ".join(

@@ -1,6 +1,7 @@
 """Resolvent tests, square-function constants, divergence run, ISS bundles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,10 @@ def test_shift_demo_sampled_profiles():
         assert out["l1"] == l1
     with pytest.raises(CertifyError):
         shift_demo(SampledFunction([0.0, 0.5], [1.0], tail_rate=1.0), phi)
+    # a bounded profile is in every Orlicz class: past double range it is
+    # named, not reported as divergent
+    with pytest.raises(CertifyError, match="samples profile is finite but overflows"):
+        shift_demo(SampledFunction([0.0, 1.0], [1e200]), phi)
 
 
 def test_shift_demo_power_profiles():
@@ -379,7 +384,7 @@ def test_shift_demo_power_profiles():
         shift_demo({"kind": "spline"}, phi)
 
 
-def test_shift_demo_multi_segment_walk():
+def test_shift_demo_multi_segment_crossing():
     phi = YoungFunction(
         [Segment(0.0, "power", 2.0, 1.0), Segment(3.0, "power", 3.0, 2.0)]
     )
@@ -390,9 +395,25 @@ def test_shift_demo_multi_segment_walk():
     # s = (5/6)^4, which integrates to 425/9
     assert out["modular"] == pytest.approx(425.0 / 9.0, rel=1e-12)
     s = np.geomspace(1e-12, 1.0, 200_001)
-    riem = float(np.trapezoid([phi(2.5 * v**-0.25) for v in s], s))
+    riem = float(np.trapezoid(phi(2.5 * s**-0.25), s))
     tail = 62.5 * 1e-3  # the s^{-3/4} mass the grid floor cuts off
     assert out["modular"] == pytest.approx(riem + tail, rel=1e-4)
+
+
+def test_shift_demo_power_scan_is_finite_without_warnings():
+    # the benchmark's power/constant/power Phi over the scan of 30 c by 50
+    # log-spaced a in [-0.3, -1e-5]: for a near 0 the crossing of the last
+    # breakpoint lies far below 2^-1074, and the modular stays finite
+    phi = YoungFunction(
+        [Segment(0.0, "power", 2.0, 1.0), Segment(1.0, "const", 3.0, 0.0),
+         Segment(2.0, "power", 1.5, 1.0)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in np.linspace(0.3, 1.5, 30).tolist():
+            for a in (-np.geomspace(0.3, 1e-5, 50)).tolist():
+                out = shift_demo({"kind": "power", "coeff": c, "exponent": a}, phi)
+                assert not out["diverged"] and math.isfinite(out["modular"]), (c, a)
 
 
 def test_boundedness_probe():

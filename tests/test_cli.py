@@ -487,6 +487,64 @@ def test_orlicz_norm_path(tmp_path):
     assert report["results"]["modular_at_norm"] <= 1.0 + 1e-8
 
 
+# The benchmark's power/constant/power Young function.
+SEGMENTS_YOUNG = {"segments": [
+    {"x0": 0.0, "kind": "power", "c": 2.0, "r": 1.0},
+    {"x0": 1.0, "kind": "const", "c": 3.0},
+    {"x0": 2.0, "kind": "power", "c": 1.5, "r": 1.0},
+]}
+
+
+def _shift_scenario(tmp_path, coeff, exponent):
+    profile = {"kind": "power", "coeff": coeff, "exponent": exponent}
+    return _write(tmp_path, "shift.json", {"young": SEGMENTS_YOUNG, "profile": profile})
+
+
+def test_shift_demo_with_a_crossing_below_the_double_range(tmp_path):
+    # c s^a meets the last breakpoint at s = e^-595 for a = -0.00126: a level
+    # walk from s = 1 underflows long before it gets there
+    mp_oracle = pytest.importorskip("shift_oracle")
+    scn = _shift_scenario(tmp_path, 0.945, -0.00126)
+    out = tmp_path / "out"
+    assert main(["shift-demo", "--scenario", scn, "--out", str(out), "--quiet"]) == 0
+    res = json.loads((out / "shift-demo.report.json").read_text())["results"]
+    assert not res["diverged"] and res["levels_scanned"] == 859
+    segs = [(s["x0"], s["kind"], s["c"], s.get("r", 0.0)) for s in SEGMENTS_YOUNG["segments"]]
+    assert res["modular"] == pytest.approx(mp_oracle.modular_mp(segs, 0.945, -0.00126),
+                                           rel=1e-10)
+
+
+@pytest.mark.parametrize("coeff, exponent, cause", [
+    (math.nan, 0.5, "finite coeff and exponent, got nan and 0.5"),
+    (math.inf, 0.5, "finite coeff and exponent, got inf and 0.5"),
+    (-math.inf, 0.5, "scenario schema violation at '/profile'"),
+    (0.5, math.nan, "finite coeff and exponent, got 0.5 and nan"),
+    (0.5, math.inf, "finite coeff and exponent, got 0.5 and inf"),
+    (0.5, -math.inf, "scenario schema violation at '/profile'"),
+    (1e300, 0.5, "the modular of the power profile is finite but overflows double precision"),
+])
+def test_shift_demo_bad_power_profiles_exit_1_with_their_cause(
+        tmp_path, capsys, coeff, exponent, cause):
+    # JSON NaN and Infinity pass the schema's bounds (-Infinity does not);
+    # shift_demo names them
+    scn = _shift_scenario(tmp_path, coeff, exponent)
+    out = tmp_path / "out"
+    assert main(["shift-demo", "--scenario", scn, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err and "Traceback" not in err
+    assert not (out / "shift-demo.report.json").exists()
+
+
+def test_shift_demo_tiny_coefficient_reports_a_divergent_tail(tmp_path):
+    # 1e-300 s^-1/2 ends in the x^2 segment: the tail diverges like log s
+    scn = _shift_scenario(tmp_path, 1e-300, -0.5)
+    out = tmp_path / "out"
+    assert run("shift-demo", scn, out=str(out), quiet=True) == 0
+    res = json.loads((out / "shift-demo.report.json").read_text())["results"]
+    assert res["diverged"] and not res["orlicz_class_member"]
+    assert res["modular"] == "inf" and res["escalation_levels"] == "inf"
+
+
 def test_sqfct_path(tmp_path):
     scn = _write(tmp_path, "sq.json", {
         "generator": {"eigenvalues": [[-1.0, 0.0], [-2.0, 0.0]]},
