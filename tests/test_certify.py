@@ -384,6 +384,17 @@ def test_shift_demo_power_profiles():
         shift_demo({"kind": "spline"}, phi)
 
 
+def test_shift_demo_overflowing_level_mass_needs_one_level():
+    # c^2 = 1e600 overflows, so one dyadic level already passes the threshold
+    # (remaining / inf reads 0 levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = shift_demo({"kind": "power", "coeff": 1e300, "exponent": -0.5},
+                         power_young(2.0))
+    assert out["diverged"] and out["levels_scanned"] == 0
+    assert out["escalation_levels"] == 1
+
+
 def test_shift_demo_multi_segment_crossing():
     phi = YoungFunction(
         [Segment(0.0, "power", 2.0, 1.0), Segment(3.0, "power", 3.0, 2.0)]
