@@ -361,6 +361,21 @@ class SampledFunction:
         self.tail_rate = tail_rate
 
     @classmethod
+    def _cut(cls, edges, widths, values) -> "SampledFunction":
+        """A tail-free profile cut from an already-validated signal, with no
+        check and no copy: ``edges`` strictly increasing and finite from
+        s = 0, ``widths`` = ``np.diff(edges)`` and ``values`` finite and
+        nonnegative, all float64 and 1-d, as ``PiecewiseSignal`` guarantees
+        for its breakpoints and ``np.abs`` of its values.  The arrays are
+        marked read-only."""
+        self = object.__new__(cls)
+        for a in (edges, widths, values):
+            a.setflags(write=False)
+        self.edges, self.widths, self.values = edges, widths, values
+        self.tail_rate = None
+        return self
+
+    @classmethod
     def from_callable(
         cls,
         fn: Callable[[np.ndarray], np.ndarray],

@@ -212,6 +212,27 @@ class PiecewiseSignal:
         running = np.maximum.accumulate(self._piece_norms())
         return running[np.searchsorted(self.breakpoints, times) - 1]
 
+    def _prefix_profiles(self, times):
+        """Yield (edges, widths, |values|) of ``self.restrict(t)`` for each t
+        in ``times``, in (0, horizon]: the Luxemburg twin of
+        :meth:`_running_sup`.  Window t keeps the first c =
+        ``searchsorted(breakpoints, t)`` pieces, so its widths are the first c
+        of ``np.diff(breakpoints)`` with the last one set to t - s_{c-1}, and
+        its magnitudes a slice of one ``np.abs(values)``: the same floats that
+        ``restrict`` and then ``np.diff`` and ``np.abs`` give, with O(c) work
+        and no signal built per time.  Scalar piecewise signals only.
+        """
+        bp = self.breakpoints
+        diffs = np.diff(bp)
+        mags = np.abs(self.values)
+        for t, c in zip(np.asarray(times, dtype=float).tolist(),
+                        np.searchsorted(bp, times).tolist()):
+            edges = bp[: c + 1].copy()
+            edges[c] = t
+            widths = diffs[:c].copy()
+            widths[c - 1] = t - bp[c - 1]
+            yield edges, widths, mags[:c]
+
     def restrict(self, t: float) -> "PiecewiseSignal":
         """The same signal on the shorter window [0, t]."""
         if not 0.0 < t <= self.horizon:
@@ -621,9 +642,22 @@ def random_signal(
     complex_field: bool = True,
     amplitude: float = 1.0,
 ) -> PiecewiseSignal:
-    """Seeded random piecewise signal with values in the amplitude ball."""
-    if n_pieces < 1 or horizon <= 0.0:
-        raise SignalError("need a positive horizon and at least one piece")
+    """Seeded random piecewise signal with values in the amplitude ball.
+
+    The horizon must be finite and hold ``n_pieces + 1`` distinct doubles in
+    [0, horizon]; a positive double's bit pattern counts the doubles below
+    it.  Breakpoints are drawn until that many are distinct, so without the
+    check a subnormal horizon, or inf or NaN, would draw forever.
+    """
+    if n_pieces < 1 or not 0.0 < horizon < math.inf:
+        raise SignalError(
+            f"need a finite positive horizon and at least one piece, got "
+            f"horizon={horizon!r}, n_pieces={n_pieces!r}"
+        )
+    if n_pieces > int(np.float64(horizon).view(np.int64)):
+        raise SignalError(
+            f"horizon {horizon!r} holds fewer than {n_pieces + 1} distinct breakpoints"
+        )
     interior = np.sort(rng.random(n_pieces - 1)) * horizon
     bp = np.concatenate([[0.0], interior, [horizon]])
     bp = np.unique(bp)
