@@ -458,10 +458,13 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
     each run, whose sum is yielded as soon as the pass leaves it, so memory
     stays O(n) for any number of runs.  The piece weight c_k = Δ_k h(λΔ_k)
     is taken as z_k·(1/λ), equal in exact arithmetic since z_k = e^{λΔ_k} -
-    1, with 1/λ formed once.  That keeps full accuracy while every λΔ_k is
-    a normal number, which also makes 1/λ finite; the other modes (λ = 0,
-    subnormal λ, or a λΔ_k below 2^-1022, where z_k has lost digits) keep
-    Δ_k h(λΔ_k).  z comes from one :func:`_expm1` call per block of
+    1, with 1/λ formed once.  That keeps full accuracy while |λ|·min(Δ_k, 1)
+    is a normal number, which also makes 1/λ finite; where it is not (λ = 0,
+    subnormal λ, or a λΔ_k below 2^-1022, where z_k has lost digits) the
+    piece keeps Δ_k h(λΔ_k).  That test is made per piece, so a run's bits
+    do not depend on the other runs in the pass, and only for the modes
+    that fail it at the pass's smallest width: when none do, each row is
+    one product z_k·(1/λ).  z comes from one :func:`_expm1` call per block of
     at most ``_BLOCK_ENTRIES`` piece–mode pairs (one piece when n exceeds
     it), whichever runs the block spans.
 
@@ -478,10 +481,13 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
         raise SignalError("per-mode signal does not match the mode count")
     outer = vals.ndim == 2 and not per_mode and cols is None
     shape = lams.shape + vals.shape[1:] if outer else lams.shape
-    small = ~(np.abs(lams) * min(widths.min(), 1.0) >= _TINY)
-    inv = 1.0 / np.where(small, 1.0, lams)
-    inv[small] = 0.0  # their weights are set apart below
-    bad = np.flatnonzero(small)
+    mag = np.abs(lams)
+    no_inv = ~(mag * min(widths.min(), 1.0) >= _TINY)
+    bad = np.flatnonzero(no_inv)
+    if bad.size:  # re-tested per piece below; only λ = 0 or subnormal λ lack 1/λ
+        no_inv = ~(mag >= _TINY)
+    inv = 1.0 / np.where(no_inv, 1.0, lams)
+    inv[no_inv] = 0.0
     starts = list(starts)
     acc = np.zeros(shape, dtype=complex)
     step = max(1, _BLOCK_ENTRIES // max(lams.size, 1))
@@ -494,7 +500,9 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
             for k in range(hi - lo - 1, -1, -1):
                 c = z[k] * inv
                 if bad.size:
-                    c[bad] = widths[lo + k] * _h(w[k, bad], z[k, bad])
+                    dk = widths[lo + k]
+                    sub = bad[~(mag[bad] * min(dk, 1.0) >= _TINY)]
+                    c[sub] = dk * _h(w[k, sub], z[k, sub])
                 v = vals[lo + k]
                 if cols is not None:
                     r = v[0] * cols[0]

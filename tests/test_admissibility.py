@@ -330,7 +330,7 @@ def test_infinite_time_sup_l2_gram_vs_quadrature():
     b = np.array([1.0, 0.4 + 0.2j, 0.4 - 0.2j, -0.3])
     B = InputOperator.columns(b)
     rep = infinite_time_sup(A, B, space="L2")
-    assert rep.lower == rep.upper
+    assert rep.lower <= rep.upper <= rep.lower * (1.0 + 1e-12)
     assert math.isfinite(rep.upper)  # t = inf must not produce NaN
     # numerical Gram on a long window
     lam = A.eigenvalues

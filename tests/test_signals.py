@@ -11,6 +11,7 @@ from admlab.signals import (
     PiecewiseSignal,
     SignalError,
     _expm1,
+    _horner,
     counterexample_intervals,
     mode_integrals,
     random_signal,
@@ -171,6 +172,19 @@ def test_expm1_skips_underflowed_entries_bit_for_bit(dead_share):
     assert np.array_equal(got.imag[nonzero], want_im[nonzero])
     assert np.all(got.imag[~nonzero] == 0.0)  # up to the sign of zero
     assert np.all(got.real[dead.reshape(w.shape)] == -1.0)
+
+
+def test_a_run_integrates_to_the_same_bits_alone_and_in_a_pass():
+    # |λ0|·Δ is subnormal only for the other run's 1e-9 piece, so the weight
+    # rule must be decided piece by piece, not from the pass's smallest width
+    lams = np.array([-1e-300, -1.0 + 0.5j])
+    vals = np.array([0.4 - 0.2j, -1.1 + 0.3j, 0.7 + 0.9j, 1.3 - 0.6j])
+    widths = np.array([1e-9, 0.5, 0.3, 0.7])
+    second, first = _horner(lams, widths, vals, starts=(0, 2))  # last run first
+    (alone,) = _horner(lams, widths[2:], vals[2:])
+    assert second.tobytes() == alone.tobytes()
+    (alone,) = _horner(lams, widths[:2], vals[:2])
+    assert first.tobytes() == alone.tobytes()
 
 
 def test_expm1_of_a_scalar():
