@@ -60,9 +60,11 @@ from .orlicz import (
 )
 from .signals import PiecewiseSignal, SignalError, random_signal
 from .spectral import (
+    ConfigError,
     DiagonalGenerator,
     SpectralError,
     SpectralVector,
+    _decode,
     _weighted_norm,
     generator_from_json,
     space_norm,
@@ -83,10 +85,6 @@ COMMANDS = (
 _SEEDED = {"adm", "iss", "iiss"}
 
 
-class ConfigError(Exception):
-    """Scenario or flag problem: exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise ConfigError(message)
@@ -104,84 +102,54 @@ def _validator() -> jsonschema.Draft202012Validator:
     return jsonschema.Draft202012Validator(json.loads(text))
 
 
-# The large numeric arrays are type-checked in one pass each instead of entry by
-# entry through the schema.  A JSON number parses to exactly ``int`` or
-# ``float`` (never ``bool``); NaN and ±inf are numbers, as the schema has them.
-_NUMBER = (int, float)
+# The large numeric arrays, each with its schema type, and the objects that
+# hold some of them.  Each decodes once; once decoded, the schema sees a
+# one-entry stand-in in its place, valid where the array is.
+_ARRAYS = {"eigenvalues": "cvec", "weights": "weights", "matrix": "matrix",
+           "x0": "cvec", "initial_state": "cvec"}
+_HOLDERS = ("generator", "probe_rule", "input_operator")
 
 
-def _is_cvec(arr) -> bool:
-    """The schema's ``cvec``: a non-empty list of numbers and [re, im] pairs."""
-    if type(arr) is not list or not arr:
-        return False
-    for v in arr:
-        if type(v) not in _NUMBER and not (
-            type(v) is list
-            and len(v) == 2
-            and type(v[0]) in _NUMBER
-            and type(v[1]) in _NUMBER
-        ):
-            return False
-    return True
+def _schema_doc(obj: dict) -> tuple[dict, dict]:
+    """Two shallow copies of ``obj``: one with its large arrays decoded, and
+    the one the schema checks, with each decoded array cut to a stand-in.  An
+    array that does not decode stays a list in both, for the schema to judge,
+    so the schema accepts the second copy exactly when it accepts ``obj``."""
+    arrays, doc = dict(obj), dict(obj)
+    for key, value in obj.items():
+        if key in _HOLDERS and type(value) is dict:
+            arrays[key], doc[key] = _schema_doc(value)
+        elif key in _ARRAYS:
+            try:
+                arrays[key] = _decode(value, key, _ARRAYS[key])
+            except ConfigError:
+                continue
+            doc[key] = [[1]] if _ARRAYS[key] == "matrix" else [1]
+    return arrays, doc
 
 
-def _is_weights(arr) -> bool:
-    """The schema's ``weights``; ``not w <= 0`` is its exclusiveMinimum test."""
-    return (
-        type(arr) is list
-        and bool(arr)
-        and all(type(w) in _NUMBER and not w <= 0 for w in arr)
-    )
-
-
-def _is_matrix(arr) -> bool:
-    """The schema's input ``matrix``: a non-empty list of ``cvec`` rows."""
-    return type(arr) is list and bool(arr) and all(_is_cvec(row) for row in arr)
-
-
-# Each fast-checked array: its check, and the one-entry stand-in that replaces
-# it once the check passes (the schema accepts the stand-in too).
-_FAST_ARRAYS = {
-    "eigenvalues": (_is_cvec, [0]),
-    "weights": (_is_weights, [1]),
-    "matrix": (_is_matrix, [[0]]),
-    "x0": (_is_cvec, [0]),
-    "initial_state": (_is_cvec, [0]),
-}
-
-
-def _stand_ins(obj: dict, keys) -> dict:
-    """A shallow copy of ``obj`` with each array under ``keys`` that passes its
-    fast check replaced by its stand-in."""
-    out = dict(obj)
-    for key in keys:
-        check, stand_in = _FAST_ARRAYS[key]
-        if key in obj and check(obj[key]):
-            out[key] = stand_in
-    return out
-
-
-def _schema_doc(scn: dict) -> dict:
-    """``scn`` with every fast-checked array replaced by its stand-in.  Each
-    array and its stand-in are both valid where they stand, so the schema
-    accepts the result exactly when it accepts ``scn``."""
-    doc = _stand_ins(scn, ("x0", "initial_state"))
-    for key, arrays in (
-        ("generator", ("eigenvalues", "weights")),
-        ("probe_rule", ("eigenvalues", "weights")),
-        ("input_operator", ("matrix", "x0")),
-    ):
-        if type(doc.get(key)) is dict:
-            doc[key] = _stand_ins(doc[key], arrays)
-    return doc
+def _json_int(text: str) -> int:
+    """A JSON integer literal.  One that overflows a float is refused here, so
+    that no scenario number can overflow on its way to a float."""
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"scenario integer with {len(text.lstrip('-'))} digits is beyond the float range"
+        ) from None
+    return value
 
 
 def load_scenario(path: str) -> tuple[dict, str]:
     """Parse + schema-validate a scenario file; returns (dict, sha256 hash).
 
-    The schema sees the document with its large arrays cut to stand-ins
-    (:func:`_schema_doc`); only when that fails is the full document
-    validated, so that the error reported is the schema's own first error.
+    The large arrays are decoded once, here, and the returned dict holds them
+    as numpy arrays (:func:`admlab.spectral._decode`).  The schema sees the
+    document with each decoded array cut to a stand-in (:func:`_schema_doc`);
+    only when that fails is the full document validated, so that the error
+    reported is the schema's own first error.  An integer beyond the float
+    range is refused while parsing.
     """
     p = Path(path)
     try:
@@ -190,21 +158,22 @@ def load_scenario(path: str) -> tuple[dict, str]:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        scn = json.loads(raw)
+        scn = json.loads(raw, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario {path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"scenario {path} is not valid UTF-8: {exc}") from exc
     validator = _validator()
-    if not (isinstance(scn, dict) and validator.is_valid(_schema_doc(scn))):
+    arrays, doc = _schema_doc(scn) if isinstance(scn, dict) else (None, scn)
+    if arrays is None or not validator.is_valid(doc):
         errors = sorted(validator.iter_errors(scn), key=lambda e: list(e.absolute_path))
         if errors:
             e = errors[0]
             pointer = "/" + "/".join(str(part) for part in e.absolute_path)
             raise ConfigError(f"scenario schema violation at {pointer!r}: {e.message}")
-    if not isinstance(scn, dict):
+    if arrays is None:
         raise ConfigError("scenario must be a JSON object")
-    return scn, digest
+    return arrays, digest
 
 
 def _need(scn: dict, key: str, command: str):
@@ -213,24 +182,14 @@ def _need(scn: dict, key: str, command: str):
     return scn[key]
 
 
-def _complex(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(float(v[0]), float(v[1]))
-    return complex(float(v), 0.0)
-
-
-def _cvec(vs) -> np.ndarray:
-    return np.array([_complex(v) for v in vs], dtype=complex)
-
-
 def _generator(scn: dict, command: str) -> DiagonalGenerator:
     return generator_from_json(_need(scn, "generator", command))
 
 
 def _truncate_modes(scn: dict, modes: int) -> dict:
     """The scenario with ``modes`` modes: a ray gets that count, and every
-    per-mode list (eigenvalues, weights, matrix rows, x0, initial_state) is
-    cut to its first ``modes`` entries."""
+    per-mode array (eigenvalues, weights, matrix rows, x0, initial_state),
+    decoded or still a list, is cut to its first ``modes`` entries."""
     gen = dict(scn["generator"])
     if gen.get("kind") == "ray":
         gen["count"] = modes
@@ -254,29 +213,27 @@ def _truncate_modes(scn: dict, modes: int) -> dict:
     return out
 
 
+def _per_mode(arr, what: str, A: DiagonalGenerator, kind: str = "cvec") -> np.ndarray:
+    """``arr`` decoded, with one entry (one row, for a matrix) per mode of ``A``."""
+    out = _decode(arr, what, kind)
+    if len(out) != A.n_modes:
+        raise ConfigError(f"{what} has length {len(out)} for {A.n_modes} modes")
+    return out
+
+
 def _input_operator(scn: dict, A: DiagonalGenerator, command: str) -> InputOperator:
     obj = _need(scn, "input_operator", command)
     kind = obj["kind"]
     if kind == "columns":
         if "matrix" not in obj:
             raise ConfigError("input_operator kind 'columns' needs key 'matrix'")
-        rows = [[_complex(v) for v in row] for row in obj["matrix"]]
-        mat = np.array(rows, dtype=complex)
-        if mat.shape[0] != A.n_modes:
-            raise ConfigError(
-                f"input_operator 'matrix' has {mat.shape[0]} rows for "
-                f"{A.n_modes} modes"
-            )
-        return InputOperator.columns(mat)
+        return InputOperator.columns(
+            _per_mode(obj["matrix"], "input_operator/matrix", A, "matrix")
+        )
     if kind == "aminus_x0":
         if "x0" not in obj:
             raise ConfigError("input_operator kind 'aminus_x0' needs key 'x0'")
-        x0 = _cvec(obj["x0"])
-        if len(x0) != A.n_modes:
-            raise ConfigError(
-                f"input_operator 'x0' has {len(x0)} entries for {A.n_modes} modes"
-            )
-        return InputOperator.aminus_x0(x0)
+        return InputOperator.aminus_x0(_per_mode(obj["x0"], "input_operator/x0", A))
     return InputOperator.aminus_full()
 
 
@@ -300,9 +257,9 @@ def _signal(scn: dict, command: str, seed: int | None, n_channels: int) -> Piece
     if kind == "probe":
         return PiecewiseSignal(
             [0.0, float(obj["horizon"])],
-            [_complex(obj["amplitude"])],
+            _decode([obj["amplitude"]], "signal/amplitude"),
             "probe",
-            probe_mu=_complex(obj.get("mu", 0.0)),
+            probe_mu=_decode([obj.get("mu", 0.0)], "signal/mu")[0],
         )
     if kind == "random":
         if seed is None:
@@ -315,11 +272,10 @@ def _signal(scn: dict, command: str, seed: int | None, n_channels: int) -> Piece
             n_channels=int(obj.get("channels", n_channels)),
             amplitude=float(obj.get("amplitude", 1.0)),
         )
+    # per-piece channel rows when the first entry's first item is a list
     vals = obj["values"]
-    if vals and isinstance(vals[0], list) and vals[0] and isinstance(vals[0][0], list):
-        values = np.array([[_complex(v) for v in row] for row in vals], dtype=complex)
-    else:
-        values = _cvec(vals)
+    rows = vals and isinstance(vals[0], list) and vals[0] and isinstance(vals[0][0], list)
+    values = _decode(vals, "signal/values", "matrix" if rows else "cvec")
     return PiecewiseSignal(obj["breakpoints"], values)
 
 
@@ -436,11 +392,7 @@ def _cmd_simulate(scn, seed, modes):
     if horizon > u.horizon:
         raise ConfigError("scenario horizon exceeds the signal window")
     if "initial_state" in scn:
-        x0c = _cvec(scn["initial_state"])
-        if len(x0c) != A.n_modes:
-            raise ConfigError(
-                f"initial_state has {len(x0c)} entries for {A.n_modes} modes"
-            )
+        x0c = _per_mode(scn["initial_state"], "initial_state", A)
     else:
         x0c = np.zeros(A.n_modes, dtype=complex)
     x0 = SpectralVector(x0c, "X")
@@ -563,9 +515,7 @@ def _cmd_iss(scn, seed, modes):
 
 def _cmd_iiss(scn, seed, modes):
     A = _generator(scn, "iiss")
-    x0 = _cvec(_need(scn, "x0", "iiss"))
-    if len(x0) != A.n_modes:
-        raise ConfigError(f"x0 has {len(x0)} entries for {A.n_modes} modes")
+    x0 = _per_mode(_need(scn, "x0", "iiss"), "x0", A)
     psi = _young(scn, "iiss")
     res = iiss_certificate(
         A,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "SpectralError",
     "SpectrumHit",
     "SectorError",
+    "ConfigError",
     "DiagonalGenerator",
     "SpectralVector",
     "basis_vector",
@@ -59,6 +61,10 @@ class SpectrumHit(SpectralError):
 
 class SectorError(SpectralError):
     """Operation requires a sector angle below pi/2."""
+
+
+class ConfigError(Exception):
+    """Scenario or flag problem: the command line exits 1 on it."""
 
 
 class DiagonalGenerator:
@@ -117,10 +123,6 @@ class DiagonalGenerator:
         return float(
             np.max(np.arctan2(np.abs(self.eigenvalues.imag), -self.eigenvalues.real))
         )
-
-    @property
-    def analytic(self) -> bool:
-        return self.sector_angle < 0.5 * math.pi
 
     @classmethod
     def from_ray(
@@ -296,6 +298,61 @@ def hinf_multiplier(
     return SpectralVector(x.coefficients * vals, x.scale), bound
 
 
+# A JSON number parses to exactly ``int`` or ``float``, never ``bool``; NaN and
+# ±inf are numbers, as the schema has them.
+_REAL = {int, float}
+
+
+def _floats(values: list, what: str) -> np.ndarray:
+    """JSON numbers as float64, type-checked and converted in one pass each."""
+    if not set(map(type, values)) <= _REAL:
+        raise ConfigError(f"{what} holds an entry that is not a number")
+    return np.array(values, dtype=float)
+
+
+def _decode(arr, what: str, kind: str = "cvec") -> np.ndarray:
+    """The scenario's numbers under ``what`` as one array.
+
+    ``kind`` is the schema's array type: ``"cvec"`` (numbers and [re, im]
+    pairs, mixed in any order) gives a complex vector, ``"weights"`` (numbers
+    not <= 0, so NaN passes as in the schema) a float vector, and
+    ``"matrix"`` (cvec rows) a complex (rows, columns) array.  Each entry gets
+    the bits of ``complex(float(re), float(im))`` (of ``float(w)`` for
+    weights), and an array already decoded is returned as it is.  What the
+    schema refuses raises a :class:`ConfigError` naming ``what``, and so do
+    rows of different lengths, which the schema accepts.  The command line
+    refuses an integer beyond the float range where it parses the scenario.
+    """
+    if isinstance(arr, np.ndarray):
+        return arr
+    if type(arr) is not list or not arr:
+        raise ConfigError(f"{what} must be a non-empty list")
+    types = set(map(type, arr))
+    if kind == "matrix":
+        if types != {list}:
+            raise ConfigError(f"{what} must be a list of rows")
+        widths = sorted(set(map(len, arr)))
+        if len(widths) > 1:
+            raise ConfigError(f"{what} has rows of lengths {widths}")
+        return _decode(list(chain.from_iterable(arr)), what).reshape(len(arr), -1)
+    if kind == "weights" or list not in types:
+        values = _floats(arr, what)
+        if kind == "cvec":
+            return values.astype(complex)
+        if (values <= 0.0).any():
+            raise ConfigError(f"{what} must be positive")
+        return values
+    if types != {list}:  # numbers and pairs mixed: decode each part apart
+        is_pair = np.fromiter(map(isinstance, arr, repeat(list)), bool, len(arr))
+        out = np.empty(len(arr), dtype=complex)
+        out[is_pair] = _decode(list(compress(arr, is_pair.tolist())), what)
+        out[~is_pair] = _decode(list(compress(arr, (~is_pair).tolist())), what)
+        return out
+    if set(map(len, arr)) != {2}:
+        raise ConfigError(f"{what} holds a list that is not an [re, im] pair")
+    return _floats(list(chain.from_iterable(arr)), what).view(complex)
+
+
 def generator_from_json(obj: dict) -> DiagonalGenerator:
     """Build a generator from an explicit list or a ray rule.
 
@@ -305,13 +362,18 @@ def generator_from_json(obj: dict) -> DiagonalGenerator:
          "weights"?: [...], "beta"?: [re, im]}
         {"kind": "ray", "base": -1, "exponent": a, "angle": phi, "count": N,
          "weights"?: [...], "beta"?: [re, im]}
+
+    ``eigenvalues`` and ``weights`` may also be the arrays :func:`_decode`
+    made of them, which are taken as they are.
     """
     try:
         kind = obj.get("kind", "explicit")
         beta = obj.get("beta")
         if beta is not None:
-            beta = complex(beta[0], beta[1]) if isinstance(beta, (list, tuple)) else complex(beta)
+            beta = _decode([beta], "beta")[0]
         weights = obj.get("weights")
+        if weights is not None:
+            weights = _decode(weights, "weights", "weights")
         if kind == "ray":
             return DiagonalGenerator.from_ray(
                 float(obj["base"]),
@@ -322,8 +384,7 @@ def generator_from_json(obj: dict) -> DiagonalGenerator:
                 beta=beta,
             )
         if kind == "explicit":
-            lam = [complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z)
-                   for z in obj["eigenvalues"]]
+            lam = _decode(obj["eigenvalues"], "eigenvalues")
             return DiagonalGenerator(lam, weights=weights, beta=beta)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SpectralError(f"malformed generator object: {exc}") from exc

@@ -636,6 +636,58 @@ def test_simulate_exits_1_when_the_state_leaves_x(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+BIG = 10**400  # a JSON integer literal beyond the float range
+OVERFLOW = "scenario integer with 401 digits is beyond the float range"
+TWO_MODES = {"eigenvalues": [[-1.0, 0.0], [-2.0, 0.5]]}
+SIMULATE_2 = {
+    "generator": TWO_MODES,
+    "input_operator": {"kind": "aminus_x0", "x0": [1.0, 0.5]},
+    "signal": {"breakpoints": [0.0, 0.5, 1.0], "values": [1.0, -2.0]},
+}
+
+
+def _signal_values(values, matrix=None):
+    scn = dict(SIMULATE_2, signal=dict(SIMULATE_2["signal"], values=values))
+    if matrix is not None:
+        scn["input_operator"] = {"kind": "columns", "matrix": matrix}
+    return scn
+
+
+@pytest.mark.parametrize(
+    "command, scenario, cause",
+    [
+        ("sqfct", {"generator": {"eigenvalues": [-1, -BIG]}}, OVERFLOW),
+        ("sqfct", {"generator": {"eigenvalues": [-1, -2], "weights": [1, BIG]}},
+         OVERFLOW),
+        ("sqfct", {"generator": {"eigenvalues": [-1, -2], "beta": [BIG, 0]}},
+         OVERFLOW),
+        ("sqfct", {"generator": {"kind": "ray", "base": -BIG, "exponent": 1.0,
+                                 "angle": 0.0, "count": 3}}, OVERFLOW),
+        ("weiss", {"generator": TWO_MODES,
+                   "input_operator": {"kind": "aminus_x0", "x0": [1, [0, BIG]]}},
+         OVERFLOW),
+        ("simulate", dict(SIMULATE_2, initial_state=[BIG, 0]), OVERFLOW),
+        ("simulate", _signal_values([1.0, [BIG, 0]]), OVERFLOW),
+        ("weiss", {"generator": TWO_MODES,
+                   "input_operator": {"kind": "columns", "matrix": [[1], [1, 2]]}},
+         "input_operator/matrix has rows of lengths [1, 2]"),
+        ("simulate", _signal_values([[1], [1, 2]]),
+         "signal/values holds a list that is not an [re, im] pair"),
+        ("simulate", _signal_values([[[1, 0]], 1]), "signal/values must be a list of rows"),
+        ("simulate", _signal_values([[[1, 0], 2], [3]], [[1, 0], [0, 1]]),
+         "signal/values has rows of lengths [1, 2]"),
+    ],
+)
+def test_schema_valid_but_unusable_numbers_exit_1_with_their_cause(
+        tmp_path, capsys, command, scenario, cause):
+    # each scenario passes the schema; its numbers hold no float array
+    assert cli._validator().is_valid(json.loads(json.dumps(scenario)))
+    scn = _write(tmp_path, "s.json", scenario)
+    assert main([command, "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err and "Traceback" not in err
+
+
 def test_json_ready_refuses_nan_and_names_the_key():
     with pytest.raises(ConfigError, match="'/results/reports/1/lower'"):
         _json_ready({"reports": [{"lower": 1.0}, {"lower": float("nan")}]}, "/results")
