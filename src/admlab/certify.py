@@ -844,14 +844,15 @@ def boundedness_probe(
     at its matched scale t = 1/|lambda_N|, where the top mode contributes
     |e^{-e^{i angle}} - 1| (= 1 - 1/e on the real axis) independently of N:
     a uniform floor there is the numerical shadow of unbounded generators
-    never being zero-class.
+    never being zero-class.  The rule's ``weights`` are dropped: they fit one
+    count only, and max|e^{lambda_n t} - 1| does not depend on them.
     """
     if rule.get("kind") != "ray":
         raise CertifyError("the probe wants a ray-rule spectrum")
     rows = []
     matched = {}
     for N in Ns:
-        A = generator_from_json({**rule, "count": int(N)})
+        A = generator_from_json({**rule, "count": int(N), "weights": None})
         lam = A.eigenvalues
         t_match = 1.0 / float(np.max(np.abs(lam)))
         for t in list(t_grid) + [t_match]:

@@ -29,6 +29,12 @@ from zero at given pieces and yield the sum of each run as the pass leaves
 it: a sampled path's T windows (``PiecewiseSignal._windows``) are then
 integrated in one pass, O(n·(K+T)) time and O(n) memory, with blocks that
 span windows.
+The semigroup damps the high modes within one piece: a mode is dead in a
+pass when its e^{λΔ} - 1 rounds to exactly -1 at the pass's smallest width
+(z_k = -1 at every piece), so ``acc + z_k acc`` is an exact +0 and each
+run's sum is its first piece alone, ``(z·(1/λ))·v + 0``.  When more than
+half of the modes are dead, only the live ones run through the row loop and
+the dead ones take that closed form, bit for bit the whole loop's sums.
 :func:`_expm1`, the package's one complex e^w - 1, keeps full relative
 accuracy near every zero w ∈ 2πiℤ, so no closed form cancels, and skips the
 sines of the modes whose e^{Re w} underflows to 0.
@@ -476,10 +482,69 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
     is taken per piece row of n entries, never over a block: numpy's complex
     multiply rounds by array layout, and a row's bits must not depend on the
     runs its block happens to span.
+
+    Dead modes leave the row loop.  A mode is dead in a pass when e^{λΔ} - 1
+    rounds to exactly -1 at the pass's smallest width, ``expm1(min Δ·Re λ)
+    == -1``; then z_k = -1 at every width, and for a finite acc the step
+    makes ``acc + z_k acc`` an exact +0, so a run's sum is its first piece
+    alone, ``(z·(1/λ))·r + 0`` (the +0 turns a -0 into +0, as the loop
+    does).  When more than half of the modes are dead, the row loop runs
+    over the live ones only, compacted once per pass (O(n) to decide, no
+    work added per row), and each run's sum is scattered from the loop's
+    live part and the dead modes' closed form, taken with the loop's own
+    products, so every bit is the whole loop's.  On spectra with |λ_k| ~ k
+    most piece–mode pairs are dead: a pass then costs O(n_live·K + n·T)
+    instead of O(n·K) for K pieces and T runs.  The whole loop still runs
+    when every run is one piece (the loop then takes the closed form's
+    steps), when one mode alone is live (numpy's in-place product of a
+    length-1 row rounds unlike a longer row's) and when a dead product could
+    overflow, so that an overflow still ends in the loop's NaN: a dead |1/λ|
+    is below min Δ/36, and the bound m·max|v|·max|b|·min Δ/36 must stay far
+    below the float range.
     """
     if per_mode and vals.shape[1] != lams.size:
         raise SignalError("per-mode signal does not match the mode count")
     outer = vals.ndim == 2 and not per_mode and cols is None
+    split = len(widths) > len(starts)  # runs of one piece each: nothing to save
+    with np.errstate(under="ignore", over="ignore"):
+        if split:  # more than half dead, and not one lone live mode
+            wmin = widths.min()
+            dead = np.expm1(wmin * lams.real) == -1.0
+            split = lams.size // 2 < int(np.count_nonzero(dead)) != lams.size - 1
+        if split:  # and no dead product overflows: with |1/λ| < min Δ/36
+            # (e^{min Δ·Re λ} < 2^-53), each is below 2·m·|v|·|b|·min Δ/36
+            # for the largest |v| of vals and |b| of cols
+            big = 1.0 if cols is None else len(cols) * np.abs(cols).max()
+            split = np.isfinite(16.0 * big * np.abs(vals).max() * wmin)
+    if not split:
+        yield from _horner_rows(lams, widths, vals, starts, cols, outer)
+        return
+    live, dead = np.flatnonzero(~dead), np.flatnonzero(dead)
+    c0 = -1.0 / lams[dead]  # z·(1/λ) with z = -1
+    cd = None if cols is None else cols.take(dead, axis=1)
+    parts = _horner_rows(lams[live], widths, vals.take(live, axis=1) if per_mode else vals,
+                         starts, None if cols is None else cols.take(live, axis=1), outer)
+    for s, part in zip(reversed(list(starts)), parts):
+        out = np.empty(lams.shape + part.shape[1:], dtype=complex)
+        out[live] = part
+        c, v = c0.copy(), vals[s].take(dead) if per_mode else vals[s]
+        with np.errstate(under="ignore"):  # the row loop's products, as it takes them
+            if cd is not None:
+                r = v[0] * cd[0]
+                for j in range(1, len(cd)):
+                    r += v[j] * cd[j]
+                c *= r
+            elif outer:
+                c = c[:, None] * v
+            else:
+                c *= v
+            out[dead] = c + 0.0
+        yield out
+
+
+def _horner_rows(lams, widths, vals, starts, cols, outer):
+    """The row loop of :func:`_horner` over the modes ``lams``: ``outer``
+    when an m-channel ``vals`` is summed per channel."""
     shape = lams.shape + vals.shape[1:] if outer else lams.shape
     mag = np.abs(lams)
     no_inv = ~(mag * min(widths.min(), 1.0) >= _TINY)

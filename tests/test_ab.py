@@ -1,0 +1,53 @@
+"""The paired-comparison summary of ``tools/ab.py`` on synthetic numbers
+(no benchmark is run)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).parents[1] / "tools" / "ab.py"
+)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+PARENT = [1.9, 1.84, 1.98, 1.88, 1.92, 1.86, 1.95, 1.9, 1.87, 1.93]
+
+
+def test_a_clear_gain_wins_every_pair_beyond_the_parent_spread():
+    change = [x - 0.6 for x in PARENT]
+    s = ab.summarize(PARENT, change)
+    assert s["wins"] == 10 and s["pairs"] == 10 and s["gain"]
+    q1, med, q3 = s["parent"]
+    assert q1 < med < q3 and med == pytest.approx(1.9)
+    assert s["change"][1] == pytest.approx(1.3)
+
+
+def test_nine_of_ten_is_enough_and_ties_count_for_neither():
+    change = [x - 0.5 for x in PARENT]
+    change[3] = PARENT[3] + 0.1  # one loss
+    assert ab.summarize(PARENT, change)["gain"]
+    change[4] = PARENT[4]  # a tie: 8 wins of 10
+    s = ab.summarize(PARENT, change)
+    assert s["wins"] == 8 and not s["gain"]
+
+
+def test_a_shift_inside_the_parent_spread_is_no_gain():
+    # every pair wins, but by less than the parent's interquartile range
+    change = [x - 0.01 for x in PARENT]
+    s = ab.summarize(PARENT, change)
+    assert s["wins"] == 10 and not s["gain"]
+
+
+def test_higher_is_better_flips_the_direction():
+    up = [x + 1.0 for x in PARENT]
+    assert ab.summarize(PARENT, up, better="higher")["gain"]
+    assert not ab.summarize(PARENT, up)["gain"]
+    assert ab.summarize(PARENT, up)["wins"] == 0
+
+
+def test_the_summary_wants_paired_runs():
+    with pytest.raises(ValueError):
+        ab.summarize([1.0, 2.0], [1.0])
+    assert ab.quartiles([3.0]) == (3.0, 3.0, 3.0)

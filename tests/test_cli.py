@@ -695,3 +695,30 @@ def test_json_ready_refuses_nan_and_names_the_key():
         _json_ready({"z": np.array([complex(1.0, float("nan"))])}, "/dump")
     assert _json_ready({"a": np.array([1.0, np.inf])}) == {"a": [1.0, "inf"]}
     assert _json_ready(complex(-np.inf, 2.0)) == ["-inf", 2.0]  # not bare -Infinity
+
+
+def test_a_ray_count_beyond_memory_exits_1_naming_the_count(tmp_path, capsys):
+    # 10**17 modes need 800 PB, more than any address space holds, so the
+    # allocation fails at once wherever the test runs
+    scn = _write(tmp_path, "sq.json", {"generator": {
+        "kind": "ray", "base": -1.0, "exponent": 1.5, "angle": 0.4, "count": 10**17}})
+    assert main(["sqfct", "--scenario", scn, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ray count {10**17} does not fit in memory\n"
+
+
+def test_probe_boundedness_takes_a_weighted_probe_rule(tmp_path):
+    # the probe value max|e^{lambda t} - 1| does not depend on the weights,
+    # so the weighted rule gives the unweighted rows at every truncation
+    rule = {"kind": "ray", "base": -0.8, "exponent": 1.0, "angle": 0.6, "count": 2}
+    reports = []
+    for extra in ({}, {"weights": [1.0, 1.0]}, {"weights": [3.0, 0.5]}):
+        scn = _write(tmp_path, "probe.json", {
+            "probe_rule": {**rule, **extra}, "Ns": [2, 4], "t_grid": [0.01, 0.1]})
+        out = tmp_path / f"out{len(reports)}"
+        assert main(["probe-boundedness", "--scenario", scn, "--out", str(out),
+                     "--quiet"]) == 0
+        report = json.loads((out / "probe-boundedness.report.json").read_text())
+        reports.append((report["results"], (out / "probe.csv").read_bytes()))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert [r["N"] for r in reports[0][0]["rows"]] == [2, 2, 2, 4, 4, 4]
