@@ -59,6 +59,7 @@ from .orlicz import (
     luxemburg_norm,
 )
 from .signals import (
+    _BLOCK_ENTRIES,
     _GRID_ENTRIES,
     PiecewiseSignal,
     _block_rows,
@@ -75,6 +76,7 @@ from .spectral import (
     _check_aligned,
     _semigroup_factors,
     _weighted_norm,
+    _weighted_norms,
     frac_power_apply,
     space_norm,
 )
@@ -236,10 +238,13 @@ def _input_form(A: DiagonalGenerator, B: InputOperator, u: PiecewiseSignal):
     return None, np.ascontiguousarray(cols.T)
 
 
+_LEFT_X = "input-map image left X numerically; tagging Xm1"
+
+
 def _left_x(A: DiagonalGenerator, coeff: np.ndarray) -> bool:
     """True, with a warning, when an input-map image has no finite X norm."""
     if math.isinf(_weighted_norm(A.weights, coeff)):
-        warnings.warn("input-map image left X numerically; tagging Xm1", stacklevel=3)
+        warnings.warn(_LEFT_X, stacklevel=3)
         return True
     return False
 
@@ -253,17 +258,18 @@ class _Stepper:
 
     where v_j is u(t_{j-1} + .) reversed on [0, D_j].  The factors
     e^{lambda D_j} are taken once per distinct span, when the stepper is
-    built, and serve every path sampled at the same times.  For each path
-    (x0, u) the integrals of all T windows come from one pass of the Horner
-    kernel over the windows' pieces, with an m-channel input mixed through
-    the columns of B into one value per mode before integrating, so a path
-    costs O(n·(K + T)) for K pieces in O(n) memory (plus m multiply-adds per
-    mode and piece for the mixing), with the e^w - 1 of its pieces taken in
-    blocks and no signal or vector object per sample.  Every element goes
-    through the float operations of the chained calls ``trajectory(A, B,
-    x(t_{j-1}), u.shift_origin(t_{j-1}), D_j)``, so the states are bit for
-    bit theirs.  A probe's windows are the probe's own closed-form shifts and
-    reversals.
+    built, and serve every path sampled at the same times.  The integrals of
+    all T windows of all paths (x0_i, u_i) given together come from one pass
+    of the Horner kernel over the windows' pieces, one run per window, with
+    an m-channel input mixed through the columns of B into one value per
+    mode before integrating: P paths with K pieces in all cost O(n·(K + P·T))
+    in O(n) memory (plus m multiply-adds per mode and piece for the mixing),
+    with the e^w - 1 of the pieces taken in blocks and no signal or vector
+    object per sample.  Whether an image left X comes from one row-wise norm
+    pass over blocks of images.  Every element goes through the float
+    operations of the chained calls ``trajectory(A, B, x(t_{j-1}),
+    u.shift_origin(t_{j-1}), D_j)``, so the states are bit for bit theirs.  A
+    probe's windows are the probe's own closed-form shifts and reversals.
     """
 
     def __init__(self, A: DiagonalGenerator, B: InputOperator, times):
@@ -279,34 +285,58 @@ class _Stepper:
         self.factors = {d: _semigroup_factors(A, d) for d in set(self.spans.tolist())}
 
     def states(self, x0: np.ndarray, u: PiecewiseSignal, left: bool = False):
-        """Yield (x(t_j) coefficients, left X) for j = 1..T from x(0) = x0.
+        """Yield (x(t_j) coefficients, left X) for j = 1..T from x(0) = x0:
+        the one-path case of :meth:`paths`."""
+        return self.paths([x0], [u], left)
+
+    def paths(self, x0s, us, left: bool = False):
+        """Yield (x(t_j) coefficients, left X) for j = 1..T of each path
+        x(0) = x0s[i] under us[i], path by path.  The inputs share one
+        channel layout.
 
         ``left`` marks a state that left X (an image tagged ``Xm1``, with the
-        warning of :func:`input_map`); it stays set from that sample on.
+        warning of :func:`input_map`); it starts at ``left`` on each path and
+        stays set from that sample on.
         """
-        if not (self.spans <= u.breakpoints[-1] - self.prevs).all():
+        if not all((self.spans <= u.breakpoints[-1] - self.prevs).all() for u in us):
             raise AdmissibilityError("evaluation time must lie in (0, horizon]")
-        for d, (forced, out) in zip(self.spans.tolist(), self._images(u)):
-            left = out or left
-            x = x0 * self.factors[d] + forced
-            yield x, left
-            x0 = x
+        images = self._images(us)
+        for x0 in x0s:
+            out = left
+            for d, (forced, bad) in zip(self.spans.tolist(), images):
+                out = bad or out
+                x = x0 * self.factors[d] + forced
+                yield x, out
+                x0 = x
 
-    def _images(self, u: PiecewiseSignal):
-        """(coefficients, left X) of each window's input-map image, in order."""
+    def _images(self, us):
+        """(coefficients, left X) of each window's input-map image, path by
+        path and in time order."""
         A, B = self.A, self.B
-        if u.kind == "probe" or len(self.spans) <= 1:
+        if len(us) * len(self.spans) <= 1 or any(u.kind == "probe" for u in us):
             # one window gains nothing from blocking; input_map runs the
             # same Horner kernel on it (and a probe integrates in closed form)
-            for p, d in zip(self.prevs.tolist(), self.spans.tolist()):
-                v = input_map(A, B, u.shift_origin(p).restrict(d).reversed_signal(), d)
-                yield v.coefficients, v.scale == "Xm1"
+            for u in us:
+                for p, d in zip(self.prevs.tolist(), self.spans.tolist()):
+                    v = input_map(A, B, u.shift_origin(p).restrict(d).reversed_signal(), d)
+                    yield v.coefficients, v.scale == "Xm1"
             return
-        scale, cols = _input_form(A, B, u)
-        widths, vals, starts = u._windows(self.times)
-        for ints in _horner(A.eigenvalues, widths, vals, u.per_mode, starts, cols):
-            forced = ints if cols is not None else scale * ints
-            yield forced, _left_x(A, forced)
+        scale, cols = _input_form(A, B, us[0])
+        # the paths' windows, last path first, as the runs of one pass
+        widths, vals, starts = zip(*(u._windows(self.times) for u in reversed(us)))
+        firsts = accumulate(map(len, widths[:-1]), initial=0)
+        starts = [f + s for f, run in zip(firsts, starts) for s in run]
+        images = _horner(A.eigenvalues, np.concatenate(widths), np.concatenate(vals),
+                         us[0].per_mode, starts, cols)
+        rows, block = max(1, _BLOCK_ENTRIES // A.n_modes), []
+        for q, ints in enumerate(images, 1):
+            block.append(ints if cols is not None else scale * ints)
+            if len(block) == rows or q == len(starts):
+                for forced, norm in zip(block, _weighted_norms(A.weights, block).tolist()):
+                    if norm == math.inf:
+                        warnings.warn(_LEFT_X, stacklevel=3)
+                    yield forced, norm == math.inf
+                block = []
 
 
 def trajectory(

@@ -397,7 +397,10 @@ def _cmd_simulate(scn, seed, modes):
         x0c = np.zeros(A.n_modes, dtype=complex)
     x0 = SpectralVector(x0c, "X")
     n = int(scn.get("n_time_samples", 33))
-    ts = np.linspace(0.0, horizon, n)
+    try:
+        ts = np.linspace(0.0, horizon, n)
+    except MemoryError as exc:
+        raise ConfigError(f"n_time_samples {n} does not fit in memory") from exc
     norms = [space_norm(A, x0)]
     for t, (x, left) in zip(ts[1:], _Stepper(A, B, ts[1:]).states(x0.coefficients, u)):
         if left:

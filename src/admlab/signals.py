@@ -19,8 +19,11 @@ exact arithmetic; 1/λ is formed once per call, and the modes where 1/λ or
 λΔ_k leaves the normal range keep Δ_k h(λ Δ_k)).  That is one e^w - 1 and
 a few multiplies per mode and piece, no complex division, O(n·m·K) time and
 O(n·m) memory for n modes, m channels and K pieces.  No e^{λ s_k} is formed,
-and the z_k are taken for a few pieces at a time (at most ``_BLOCK_ENTRIES``
-piece–mode pairs), never as an n×K matrix.  The recursion lives in one
+and the z_k and the weights c_k v_k are taken for a few pieces at a time (at
+most ``_BLOCK_ENTRIES`` piece–mode pairs), never as an n×K matrix.  A block
+product rounds each row of two or more entries as the row's own product
+does, but a one-element product rounds by its operands' layout, so a
+one-mode pass takes its weights row by row.  The recursion lives in one
 kernel, :func:`_horner`.  It can mix an m-channel value row into one value
 per mode, Σ_j v_kj b_j, before integrating: an input map through m columns
 b_j then keeps one n-long accumulator, and pays m multiply-adds per mode and
@@ -478,10 +481,10 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
     per-mode signal, and Σ_j v_kj b_j for an m-channel signal mixed through
     the m rows b_j of ``cols`` (m×n), so the accumulator is n long, not n×m.
     An m-channel signal without ``cols`` is summed per channel, as an n×m
-    array shaped like :func:`mode_integrals`' result.  Every complex product
-    is taken per piece row of n entries, never over a block: numpy's complex
-    multiply rounds by array layout, and a row's bits must not depend on the
-    runs its block happens to span.
+    array shaped like :func:`mode_integrals`' result.  The piece weights
+    c_k·r_k of a block are taken as block products (see
+    :func:`_horner_rows`), which round as the row products do, so a run's
+    bits do not depend on the runs its block happens to span.
 
     Dead modes leave the row loop.  A mode is dead in a pass when e^{λΔ} - 1
     rounds to exactly -1 at the pass's smallest width, ``expm1(min Δ·Re λ)
@@ -496,8 +499,9 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
     most piece–mode pairs are dead: a pass then costs O(n_live·K + n·T)
     instead of O(n·K) for K pieces and T runs.  The whole loop still runs
     when every run is one piece (the loop then takes the closed form's
-    steps), when one mode alone is live (numpy's in-place product of a
-    length-1 row rounds unlike a longer row's) and when a dead product could
+    steps), when one mode alone is live (a one-mode loop takes one-element
+    row products, which round unlike the whole loop's block products) and
+    when a dead product could
     overflow, so that an overflow still ends in the loop's NaN: a dead |1/λ|
     is below min Δ/36, and the bound m·max|v|·max|b|·min Δ/36 must stay far
     below the float range.
@@ -544,7 +548,18 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
 
 def _horner_rows(lams, widths, vals, starts, cols, outer):
     """The row loop of :func:`_horner` over the modes ``lams``: ``outer``
-    when an m-channel ``vals`` is summed per channel."""
+    when an m-channel ``vals`` is summed per channel.
+
+    Each block's piece weights c = z·(1/λ) and value rows r (mixed through
+    ``cols``) are taken as products over the whole block, at most
+    ``_BLOCK_ENTRIES`` entries, so each piece leaves the loop two row
+    updates.  numpy's complex product gives a row of two or more entries the
+    same bits in a block as alone (measured with numpy 2.4.6; the split test
+    holds the kernel to the plain row loop).  A one-element product's bits
+    depend on its operands' layout (scalar, broadcast or array), so a
+    one-mode pass keeps the row products, as does the per-channel ``outer``
+    layout.
+    """
     shape = lams.shape + vals.shape[1:] if outer else lams.shape
     mag = np.abs(lams)
     no_inv = ~(mag * min(widths.min(), 1.0) >= _TINY)
@@ -556,35 +571,50 @@ def _horner_rows(lams, widths, vals, starts, cols, outer):
     starts = list(starts)
     acc = np.zeros(shape, dtype=complex)
     step = max(1, _BLOCK_ENTRIES // max(lams.size, 1))
+    per_row = outer or lams.size == 1
     for hi in range(len(widths), 0, -step):
         lo = max(0, hi - step)
         done = []
         with np.errstate(under="ignore"):
             w = np.multiply.outer(widths[lo:hi], lams)
             z = _expm1(w)
-            for k in range(hi - lo - 1, -1, -1):
-                c = z[k] * inv
-                if bad.size:
+            c = [zk * inv for zk in z] if per_row else z * inv
+            if bad.size:
+                for k in range(hi - lo):
                     dk = widths[lo + k]
                     sub = bad[~(mag[bad] * min(dk, 1.0) >= _TINY)]
-                    c[sub] = dk * _h(w[k, sub], z[k, sub])
-                v = vals[lo + k]
-                if cols is not None:
-                    r = v[0] * cols[0]
-                    for j in range(1, len(cols)):
-                        r += v[j] * cols[j]
-                    c *= r
-                elif outer:
-                    c = c[:, None] * v
-                else:
-                    c *= v
+                    c[k][sub] = dk * _h(w[k, sub], z[k, sub])
+            if per_row:
+                c = [_piece_terms(ck, v, cols, outer) for ck, v in zip(c, vals[lo:hi])]
+            else:
+                c = _piece_terms(c, vals[lo:hi], cols, outer)
+            for k in range(hi - lo - 1, -1, -1):
                 acc += z[k][..., None] * acc if outer else z[k] * acc
-                acc += c
+                acc += c[k]
                 if lo + k == starts[-1]:
                     done.append(acc)
                     acc = np.zeros(shape, dtype=complex)
                     starts.pop()
         yield from done  # outside errstate: the caller runs between yields
+
+
+def _piece_terms(c, v, cols, outer):
+    """The piece weights ``c`` times their value rows ``v``, in place but
+    for ``outer``: one piece (``c`` n long, ``v`` its value row) or a block
+    (``c`` K×n, ``v`` K value rows).  A row is v for a scalar or per-mode
+    signal, Σ_j v_j b_j through the rows b_j of ``cols`` and, for ``outer``,
+    one column per channel."""
+    if outer:
+        return c[:, None] * v
+    if cols is not None:
+        if c.ndim == 2:
+            v = v.T[..., None]  # channel j of every piece as a K×1 column
+        r = v[0] * cols[0]
+        for j in range(1, len(cols)):
+            r += v[j] * cols[j]
+        v = r
+    c *= v[:, None] if c.ndim > v.ndim == 1 else v  # a block's scalar values as a column
+    return c
 
 
 def _validate_gammas(gammas: np.ndarray) -> None:

@@ -51,3 +51,23 @@ def test_the_summary_wants_paired_runs():
     with pytest.raises(ValueError):
         ab.summarize([1.0, 2.0], [1.0])
     assert ab.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_a_regression_is_a_median_worse_than_the_bound():
+    # bound 0.24: the change's median may be up to 24 % worse than the parent's
+    within = [x * 1.2 for x in PARENT]
+    beyond = [x * 1.3 for x in PARENT]
+    assert ab.summarize(PARENT, within, bound=0.24)["regressed"] is False
+    assert ab.summarize(PARENT, beyond, bound=0.24)["regressed"] is True
+    assert ab.summarize(PARENT, beyond)["regressed"] is None  # no bound, no verdict
+    # higher is better: falling by more than the bound regresses
+    assert ab.summarize(PARENT, [x * 0.7 for x in PARENT], "higher", 0.24)["regressed"]
+    assert not ab.summarize(PARENT, [x * 0.7 for x in PARENT], "lower", 0.24)["regressed"]
+
+
+def test_the_bounds_come_from_the_benchmark_file(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.24}],'
+        ' "per_layer": [{"name": "calls", "better": "lower"}]}')
+    assert ab._metrics(tmp_path) == {"wall_s": ("lower", 0.24), "calls": ("lower", None)}
+    assert ab._metrics(tmp_path / "missing") == {}

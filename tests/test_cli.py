@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ ADM_SCENARIO = {
 }
 
 CE_SCENARIO = {"M": 100, "k_bound": 0.0}
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _write(tmp_path, name, payload):
@@ -705,6 +708,16 @@ def test_a_ray_count_beyond_memory_exits_1_naming_the_count(tmp_path, capsys):
     assert main(["sqfct", "--scenario", scn, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: ray count {10**17} does not fit in memory\n"
+
+
+def test_a_sample_count_beyond_memory_exits_1_naming_the_count(tmp_path, capsys):
+    # 10**17 samples need 800 PB, so numpy refuses the time grid at once
+    scenario = json.loads((GOLDEN / "simulate-columns" / "scenario.json").read_text())
+    scenario["n_time_samples"] = 10**17
+    scn = _write(tmp_path, "sim.json", scenario)
+    assert main(["simulate", "--scenario", scn, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: n_time_samples {10**17} does not fit in memory\n"
 
 
 def test_probe_boundedness_takes_a_weighted_probe_rule(tmp_path):

@@ -10,11 +10,13 @@ PARENT and CHANGE are two checkouts of the repository (``git archive`` or
 checkout, alternating which side runs first, and reads the last JSON line
 each run prints.  Every pair's values are printed as they come; then, per
 metric, each side's median and quartiles, the number of pairs the change
-wins (ties count for neither side) and whether a gain may be claimed: the
+wins (ties count for neither side), whether a gain may be claimed (the
 change wins at least nine tenths of the pairs and the medians differ, in the
-better direction, by more than the distance between the parent's quartiles.
-The better direction of each metric is read from the change's
-``BENCHMARK.json`` (lower when it does not name the metric).
+better direction, by more than the distance between the parent's quartiles)
+and whether the change regressed: its median is worse than the parent's by
+more than the metric's ``bound``, a fraction of the parent's median.  The
+better direction and the bound of each metric are read from the change's
+``BENCHMARK.json`` (lower, and no bound, when it does not name the metric).
 Standard library only.
 """
 
@@ -36,11 +38,13 @@ def quartiles(xs):
     return q1, med, q3
 
 
-def summarize(parent, change, better="lower") -> dict:
+def summarize(parent, change, better="lower", bound=None) -> dict:
     """The paired comparison of one metric: ``parent[i]`` and ``change[i]``
     come from pair i.  ``gain`` holds when the change wins at least nine
     tenths of the pairs and its median beats the parent's by more than the
-    parent's interquartile range."""
+    parent's interquartile range; ``regressed`` when a ``bound`` is given
+    and the change's median is worse than the parent's by more than
+    ``bound`` times the parent's median (None without a bound)."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change runs")
     sign = 1.0 if better == "lower" else -1.0
@@ -48,16 +52,18 @@ def summarize(parent, change, better="lower") -> dict:
     pq1, pmed, pq3 = quartiles(parent)
     cq1, cmed, cq3 = quartiles(change)
     gain = 10 * wins >= 9 * len(parent) and sign * (pmed - cmed) > pq3 - pq1
+    regressed = None if bound is None else sign * (cmed - pmed) > bound * abs(pmed)
     return {"parent": (pq1, pmed, pq3), "change": (cq1, cmed, cq3),
-            "wins": wins, "pairs": len(parent), "gain": gain}
+            "wins": wins, "pairs": len(parent), "gain": gain, "regressed": regressed}
 
 
-def _directions(root: Path) -> dict:
+def _metrics(root: Path) -> dict:
+    """{name: (better, bound or None)} from the checkout's BENCHMARK.json."""
     path = root / "BENCHMARK.json"
     if not path.is_file():
         return {}
     spec = json.loads(path.read_text())
-    return {m["name"]: m.get("better", "lower")
+    return {m["name"]: (m.get("better", "lower"), m.get("bound"))
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
@@ -96,14 +102,15 @@ def main(argv=None) -> int:
         p, c = runs["parent"][-1], runs["change"][-1]
         print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
             f"{name} {p[name]:.4g}/{c[name]:.4g}" for name in p), flush=True)
-    better = _directions(args.change)
+    metrics = _metrics(args.change)
     print(f"{args.workload}, {args.pairs} pairs, seed {args.seed}: "
-          "median [q1, q3] parent | change, wins, gain")
+          "median [q1, q3] parent | change, wins, gain, regressed beyond the bound")
     for name in runs["parent"][0]:
         s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                      better.get(name, "lower"))
+                      *metrics.get(name, ("lower", None)))
+        regressed = {None: "-", True: "REGRESSED", False: "no"}[s["regressed"]]
         print(f"  {name}: {_fmt(s['parent'])} | {_fmt(s['change'])}  "
-              f"{s['wins']}/{s['pairs']}  {'yes' if s['gain'] else 'no'}")
+              f"{s['wins']}/{s['pairs']}  {'yes' if s['gain'] else 'no'}  {regressed}")
     return 0
 
 
