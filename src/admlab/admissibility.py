@@ -181,13 +181,6 @@ class InputOperator:
             return self.data[:, None]
         return self.data / A.eigenvalues[:, None]
 
-    def preimage_norms(self, A: DiagonalGenerator) -> np.ndarray:
-        """||A_{-1}^{-1} b_j||_X per column — the ran A_{-1} membership gauge."""
-        self.check_alignment(A)
-        if self.kind == "aminus_full":
-            return np.sqrt(A.weights)
-        return np.sqrt(A.weights @ np.abs(self._preimages(A)) ** 2)
-
 
 def input_map(
     A: DiagonalGenerator, B: InputOperator, u: PiecewiseSignal, t: float | None = None
@@ -432,20 +425,6 @@ class AdmissibilityReport:
         return out
 
 
-def _fac_column_constants(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
-    """2 K2 ||f_j||_{L2(0,oo;X)} per column, f_j(s) = (-A)^{1/2} T(s) A^{-1} b_j."""
-    lam = A.eigenvalues
-    w = A.weights * np.abs(lam) / (2.0 * np.abs(lam.real))
-    if B.kind != "aminus_full":  # the full diagonal's preimages are e_n
-        w = w @ np.abs(B._preimages(A)) ** 2
-    return 2.0 * l2_adm_constant(A) * np.sqrt(w)
-
-
-def _hinf_column_constants(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
-    """||A_{-1}^{-1} b_j||_X / cos(sector angle) per column."""
-    return B.preimage_norms(A) / math.cos(A.sector_angle)
-
-
 def _upper_routes(
     A: DiagonalGenerator, B: InputOperator, t: float
 ) -> tuple[dict, np.ndarray]:
@@ -455,9 +434,22 @@ def _upper_routes(
     the best per-column upper bound.  Factorization and H-infty multiplier are
     horizon-uniform (per-column constants add over the channels); the kernel
     route ``integral_0^t ||T(s)B|| ds`` exists for bounded columns only.
+    Column j's factorization constant is 2 K2 ||f_j||_{L2(0,oo;X)}, f_j(s) =
+    (-A)^{1/2} T(s) A^{-1} b_j, and its H-infty constant ||A_{-1}^{-1} b_j||_X
+    / cos(sector angle); both read the preimages A_{-1}^{-1} b_j, which are
+    the unit vectors e_n for the full diagonal.
     """
-    hinf = _hinf_column_constants(A, B)  # checks the alignment first
-    fac = _fac_column_constants(A, B)
+    B.check_alignment(A)
+    lam = A.eigenvalues
+    # ||A_{-1}^{-1} b_j||^2 and ||f_j||^2 / K2^2 per column: the full diagonal's
+    # (preimages e_n), else summed over the preimages' squared entries
+    pre = A.weights
+    gain = pre * np.abs(lam) / (2.0 * np.abs(lam.real))
+    if B.kind != "aminus_full":
+        sq = np.abs(B._preimages(A)) ** 2
+        pre, gain = pre @ sq, gain @ sq
+    hinf = np.sqrt(pre) / math.cos(A.sector_angle)
+    fac = 2.0 * l2_adm_constant(A) * np.sqrt(gain)
     per_column = np.minimum(fac, hinf)
     if B.kind == "aminus_full":
         uniform = ("no uniform constant across the full diagonal "
@@ -555,7 +547,10 @@ def _lower_bound(
         if chain > probe:
             return chain, "closed-form(chain)", None
         return probe, "closed-form(probe)", None
-    grams = _grid_grams(lam, A.weights, B._coefficients(A), t, n_pieces)
+    try:
+        grams = _grid_grams(lam, A.weights, B._coefficients(A), t, n_pieces)
+    except (MemoryError, ValueError) as exc:  # numpy's ValueError: beyond any address space
+        raise AdmissibilityError(f"n_pieces {n_pieces} does not fit in memory") from exc
     vals = [
         _phase_search(gram, False, restarts, iters, seed + j)[1]
         for j, gram in enumerate(grams)

@@ -78,6 +78,9 @@ __all__ = [
 _DIVERGENCE_THRESHOLD = 1e6
 _DIVERGENCE_ROWS = 4096  # divergence rows: every m up to here, log-spaced past it
 _GAIN_FLOOR = 1e-9  # a later window's gain is at least (1 - this)·an earlier one's
+_WEISS_CANDIDATES = 1000  # most per-mode optimizer candidates, the most oblique modes
+_SQFCT_REL_TOL = 1e-8  # the quadrature cross-check's tolerance, relative
+_SQFCT_QUAD_MODES = 64  # modes the quadrature cross-check runs on
 
 
 class CertifyError(Exception):
@@ -194,12 +197,12 @@ def _weiss_row_bounds(
     return _weiss_factor(p, re) * out
 
 
-def _weiss_candidates(A: DiagonalGenerator, p: float, cap: int = 1000) -> np.ndarray:
+def _weiss_candidates(A: DiagonalGenerator, p: float) -> np.ndarray:
     lam = A.eigenvalues
     re = np.abs(lam.real)
-    if lam.size > cap:
+    if lam.size > _WEISS_CANDIDATES:
         score = np.abs(lam) / re
-        idx = np.argpartition(-score, cap - 1)[:cap]
+        idx = np.argpartition(-score, _WEISS_CANDIDATES - 1)[:_WEISS_CANDIDATES]
         lam, re = lam[idx], re[idx]
     if math.isinf(p):
         return 1e-9 * re + 1j * lam.imag
@@ -336,34 +339,33 @@ class SqfctReport:
         }
 
 
-def sqfct_constants(
-    A: DiagonalGenerator, rel_tol: float = 1e-8, quad_modes: int = 64
-) -> SqfctReport:
+def sqfct_constants(A: DiagonalGenerator) -> SqfctReport:
     """Frame constants of t -> phi0(tA), phi0(z) = (-z)^{1/2} e^{z}.
 
     Per mode, ``int_0^oo |phi0(t lambda)|^2 dt/t = |lambda| int_0^oo
     e^{2 t Re lambda} dt = |lambda| / (2 |Re lambda|)``; the square function
     ``int ||phi0(tA)x||^2 dt/t`` is then ``sum w_n I_n |x_n|^2``, so k = min I_n
-    and K = max I_n.  A quadrature cross-check runs on up to ``quad_modes``
-    modes.  The opposite sign convention ``phi0(z) = (-z)^{1/2} e^{-z}`` makes
-    the same integral infinite for Re lambda < 0; both numbers are reported
-    for the first mode as evidence of the convention choice.
+    and K = max I_n.  A quadrature cross-check runs on up to
+    ``_SQFCT_QUAD_MODES`` modes, to ``_SQFCT_REL_TOL`` relative.  The
+    opposite sign convention ``phi0(z) = (-z)^{1/2} e^{-z}`` makes the same
+    integral infinite for Re lambda < 0; both numbers are reported for the
+    first mode as evidence of the convention choice.
     """
     if not A.sector_angle < 0.5 * math.pi:
         raise CertifyError("square-function constants need sector angle < pi/2")
     lam = A.eigenvalues
     per_mode = np.abs(lam) / (2.0 * np.abs(lam.real))
     max_err = 0.0
-    for lam_n, closed in list(zip(lam, per_mode))[:quad_modes]:
+    for lam_n, closed in list(zip(lam, per_mode))[:_SQFCT_QUAD_MODES]:
         mag, rate = abs(lam_n), -2.0 * lam_n.real
 
         def f(t: np.ndarray) -> np.ndarray:
             return mag * np.exp(-rate * t)
 
         top = 30.0 / rate
-        quad = adaptive_interval(f, 0.0, top, rel_tol * closed * 0.1)
+        quad = adaptive_interval(f, 0.0, top, _SQFCT_REL_TOL * closed * 0.1)
         max_err = max(max_err, abs(quad - closed) / closed)
-    if max_err > rel_tol:
+    if max_err > _SQFCT_REL_TOL:
         raise CertifyError(
             f"per-mode quadrature disagrees with the closed form ({max_err:.2e})"
         )
@@ -530,7 +532,7 @@ def _envelope_args(n_trials, horizon, n_times) -> tuple[int, int]:
 def _envelope_trials(
     A: DiagonalGenerator,
     B: InputOperator,
-    gains: Callable[[PiecewiseSignal, np.ndarray], Sequence[float]],
+    gains: Callable[[PiecewiseSignal, np.ndarray], Callable[[int], float]],
     n_trials: int,
     horizon: float,
     seed: int,
@@ -540,15 +542,15 @@ def _envelope_trials(
 
     Each trial draws a random initial state of norm in [0.25, 2] and a random
     piecewise input, then checks the envelope at ``n_times`` equispaced
-    times; ``gains(u, times)`` returns the gains of u's windows [0, t], a
-    sequence whose items are read only where needed.  The trials are drawn
-    one after another, initial state then input, in chunks whose initial
-    states fill about ``_GRID_ENTRIES`` reals, and every window of every
-    trial in a chunk is integrated in one pass of one stepper built for
-    those times (see :class:`_Stepper`): the semigroup factors are taken
-    once per certificate, and P trials with K pieces in all cost
-    O(n·(K + P·T)) for T = ``n_times`` and n modes, whatever the channel
-    count, in memory bounded by the chunk.  The states are measured in
+    times; ``gains(u, times)`` returns the gain of u's window [0, t_j] as a
+    function of the window index j, called only where the gain is needed.
+    The trials are drawn one after another, initial state then input, in
+    chunks whose initial states fill about ``_GRID_ENTRIES`` reals, and
+    every window of every trial in a chunk is integrated in one pass of one
+    stepper built for those times (see :class:`_Stepper`): the semigroup
+    factors are taken once per certificate, and P trials with K pieces in
+    all cost O(n·(K + P·T)) for T = ``n_times`` and n modes, whatever the
+    channel count, in memory bounded by the chunk.  The states are measured in
     row-wise norm passes, in blocks of as many states.  A state that left X
     counts as lhs = inf, a violation, and is never measured.
 
@@ -600,7 +602,7 @@ def _envelope_trials(
                 low = d * x0n + floor
                 if l <= low and 0.0 < low and l / low <= max_ratio:
                     continue
-                gain = float(g[j])
+                gain = float(g(j))
                 floor = max(floor, gain * (1.0 - _GAIN_FLOOR))
                 rhs = d * x0n + gain
                 if rhs > 0.0:
@@ -608,16 +610,6 @@ def _envelope_trials(
                 if l > rhs + 1e-8:
                     violations.append({"trial": first + i, "t": t, "lhs": l, "rhs": rhs})
     return max_ratio, violations
-
-
-class _OnDemand:
-    """A sequence whose item j is ``item(j)``, taken when it is read."""
-
-    def __init__(self, item: Callable[[int], float]):
-        self.item = item
-
-    def __getitem__(self, j: int) -> float:
-        return self.item(j)
 
 
 def _verdict(result: dict, what: str, raise_on_violation: bool) -> dict:
@@ -662,8 +654,8 @@ def iss_certificate(
     if not slope >= 0.0:
         raise CertifyError("the gain slope must be nonnegative")
     max_ratio, violations = _envelope_trials(
-        A, B, lambda u, times: slope * u._running_sup(times), n_trials, horizon, seed,
-        n_times,
+        A, B, lambda u, times: (slope * u._running_sup(times)).item, n_trials, horizon,
+        seed, n_times,
     )
     result = {
         "bundle": {"M": 1.0, "omega": A.delta, "mu_slope": slope},
@@ -693,13 +685,14 @@ def iiss_certificate(
     (Phi, C) comes from the Orlicz admissibility certificate for
     ``B = A_{-1} x0``; the window Luxemburg norm of each trial input is
     computed exactly from its piecewise profile, cut from the trial's
-    breakpoints with two short copies and a view per window (no signal or
-    validated profile built per window), and only for the windows whose
-    gain can change the result (see :func:`_envelope_trials`): a later
-    window whose state sits below the running ratio, with the floor left by
-    the trial's last norm, needs none.  The K-infinity function of
-    the integral-ISS definition is not constructed — the certified statement
-    is this admissibility envelope, which characterizes integral ISS.
+    breakpoints with three short copies per window (no signal or validated
+    profile built per window), and only for the windows whose gain can
+    change the result (see :func:`_envelope_trials`): a later window whose
+    state sits below the running ratio, with the floor left by the trial's
+    last norm, needs neither its norm nor its profile.  The K-infinity
+    function of the integral-ISS definition is not constructed — the
+    certified statement is this admissibility envelope, which characterizes
+    integral ISS.
     """
     n_trials, n_times = _envelope_args(n_trials, horizon, n_times)
     x0_direction = np.asarray(x0_direction, dtype=complex)
@@ -707,10 +700,9 @@ def iiss_certificate(
     if horizon is None:
         horizon = 4.0 / A.delta
 
-    def gains(u: PiecewiseSignal, times: np.ndarray) -> _OnDemand:
-        profiles = list(u._prefix_profiles(times))
-        return _OnDemand(
-            lambda j: C * luxemburg_norm(phi, SampledFunction._cut(*profiles[j]))
+    def gains(u: PiecewiseSignal, times: np.ndarray) -> Callable[[int], float]:
+        return lambda j: C * luxemburg_norm(
+            phi, SampledFunction._cut(*u._prefix_profile(times[j]))
         )
 
     max_ratio, violations = _envelope_trials(

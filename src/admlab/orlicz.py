@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -178,15 +178,6 @@ class YoungFunction:
         xa = np.atleast_1d(xa)
         with np.errstate(over="ignore"):
             out = self._value(xa, self._index(xa))
-        return float(out[0]) if scalar else out
-
-    def density(self, x):
-        """phi(|x|), vectorized."""
-        xa = np.abs(np.asarray(x, dtype=float))
-        scalar = xa.ndim == 0
-        xa = np.atleast_1d(xa)
-        with np.errstate(over="ignore"):
-            out = self._density(xa, self._index(xa))
         return float(out[0]) if scalar else out
 
     def _index(self, xa):
@@ -374,18 +365,6 @@ class SampledFunction:
         self.edges, self.widths, self.values = edges, widths, values
         self.tail_rate = None
         return self
-
-    @classmethod
-    def from_callable(
-        cls,
-        fn: Callable[[np.ndarray], np.ndarray],
-        edges,
-        tail_rate: float | None = None,
-        sample: str = "left",
-    ) -> "SampledFunction":
-        edges = np.asarray(edges, dtype=float)
-        pts = edges[:-1] if sample == "left" else 0.5 * (edges[:-1] + edges[1:])
-        return cls(edges, np.abs(np.asarray(fn(pts), dtype=float)), tail_rate)
 
     def sup_norm(self) -> float:
         return float(np.max(self.values))

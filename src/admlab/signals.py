@@ -24,14 +24,15 @@ most ``_BLOCK_ENTRIES`` piece–mode pairs), never as an n×K matrix.  A block
 product rounds each row of two or more entries as the row's own product
 does, but a one-element product rounds by its operands' layout, so a
 one-mode pass takes its weights row by row.  The recursion lives in one
-kernel, :func:`_horner`.  It can mix an m-channel value row into one value
-per mode, Σ_j v_kj b_j, before integrating: an input map through m columns
-b_j then keeps one n-long accumulator, and pays m multiply-adds per mode and
-piece for the mixing on top of one recursion step.  It can also restart
-from zero at given pieces and yield the sum of each run as the pass leaves
-it: a sampled path's T windows (``PiecewiseSignal._windows``) are then
-integrated in one pass, O(n·(K+T)) time and O(n) memory, with blocks that
-span windows.
+kernel, :func:`_horner`, with one value per mode and piece.  It can mix an
+m-channel value row into one value per mode, Σ_j v_kj b_j, before
+integrating: an input map through m columns b_j then keeps one n-long
+accumulator, and pays m multiply-adds per mode and piece for the mixing on
+top of one recursion step; :func:`mode_integrals` of an m-channel signal
+is one scalar pass per channel.  It can also restart from zero at given
+pieces and yield the sum of each run as the pass leaves it: a sampled
+path's T windows (``PiecewiseSignal._windows``) are then integrated in one
+pass, O(n·(K+T)) time and O(n) memory, with blocks that span windows.
 The semigroup damps the high modes within one piece: a mode is dead in a
 pass when its e^{λΔ} - 1 rounds to exactly -1 at the pass's smallest width
 (z_k = -1 at every piece), so ``acc + z_k acc`` is an exact +0 and each
@@ -61,7 +62,6 @@ __all__ = [
     "PiecewiseSignal",
     "mode_integrals",
     "counterexample_intervals",
-    "worst_case_phases",
     "random_signal",
 ]
 
@@ -221,26 +221,19 @@ class PiecewiseSignal:
         running = np.maximum.accumulate(self._piece_norms())
         return running[np.searchsorted(self.breakpoints, times) - 1]
 
-    def _prefix_profiles(self, times):
-        """Yield (edges, widths, |values|) of ``self.restrict(t)`` for each t
-        in ``times``, in (0, horizon]: the Luxemburg twin of
-        :meth:`_running_sup`.  Window t keeps the first c =
-        ``searchsorted(breakpoints, t)`` pieces, so its widths are the first c
-        of ``np.diff(breakpoints)`` with the last one set to t - s_{c-1}, and
-        its magnitudes a slice of one ``np.abs(values)``: the same floats that
-        ``restrict`` and then ``np.diff`` and ``np.abs`` give, with O(c) work
-        and no signal built per time.  Scalar piecewise signals only.
+    def _prefix_profile(self, t: float):
+        """(edges, widths, |values|) of ``self.restrict(t)``, t in (0,
+        horizon]: the Luxemburg twin of :meth:`_running_sup`.  Window t keeps
+        the first c = ``searchsorted(breakpoints, t)`` pieces, so its edges
+        are the first c breakpoints and t, and its magnitudes those of the
+        first c values: the same floats that ``restrict`` and then
+        ``np.diff`` and ``np.abs`` give, with O(c) work and no signal built.
+        Scalar piecewise signals only.
         """
-        bp = self.breakpoints
-        diffs = np.diff(bp)
-        mags = np.abs(self.values)
-        for t, c in zip(np.asarray(times, dtype=float).tolist(),
-                        np.searchsorted(bp, times).tolist()):
-            edges = bp[: c + 1].copy()
-            edges[c] = t
-            widths = diffs[:c].copy()
-            widths[c - 1] = t - bp[c - 1]
-            yield edges, widths, mags[:c]
+        c = int(np.searchsorted(self.breakpoints, t))
+        edges = self.breakpoints[: c + 1].copy()
+        edges[c] = t
+        return edges, np.diff(edges), np.abs(self.values[:c])
 
     def restrict(self, t: float) -> "PiecewiseSignal":
         """The same signal on the shorter window [0, t]."""
@@ -434,11 +427,12 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
     """∫₀ᵗ e^{λ_n s} u(s) ds for every mode, in closed form.
 
     Returns shape (n,) for scalar-channel and per-mode signals (the latter
-    pairs channel n with λ_n) and (n, m) for m-channel signals.  Piecewise
-    signals are summed in Horner form from the last piece back,
-    ``acc ← (acc + z_k acc) + c_k v_k`` with ``z_k = e^{λΔ_k} - 1`` and
-    the piece weight c_k = Δ_k h(λΔ_k) taken as z_k/λ, in O(n·m·K) time and
-    O(n·m) memory (see the module docstring).
+    pairs channel n with λ_n) and (n, m) for m-channel signals, column j
+    from a scalar pass over channel j.  Piecewise signals are summed in
+    Horner form from the last piece back, ``acc ← (acc + z_k acc) + c_k
+    v_k`` with ``z_k = e^{λΔ_k} - 1`` and the piece weight c_k = Δ_k h(λΔ_k)
+    taken as z_k/λ, in O(n·m·K) time and O(n·m) memory (see the module
+    docstring).
     """
     lams = np.asarray(lams, dtype=complex)
     if u.kind == "probe":
@@ -453,8 +447,14 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
                 f"on horizon {u.horizon:g}: e^((lambda-mu)t) overflows"
             )
         return out
-    (acc,) = _horner(lams.reshape(-1), np.diff(u.breakpoints), u.values, u.per_mode)
-    return acc
+    lams, widths = lams.reshape(-1), np.diff(u.breakpoints)
+    if u.values.ndim == 1 or u.per_mode:
+        (acc,) = _horner(lams, widths, u.values, u.per_mode)
+        return acc
+    out = np.empty((lams.size, u.n_channels), dtype=complex)
+    for j, v in enumerate(u.values.T):  # one scalar pass per channel
+        (out[:, j],) = _horner(lams, widths, v)
+    return out
 
 
 def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
@@ -480,9 +480,7 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
     r_k is piece k's value row as one value per mode: v_k for a scalar or a
     per-mode signal, and Σ_j v_kj b_j for an m-channel signal mixed through
     the m rows b_j of ``cols`` (m×n), so the accumulator is n long, not n×m.
-    An m-channel signal without ``cols`` is summed per channel, as an n×m
-    array shaped like :func:`mode_integrals`' result.  The piece weights
-    c_k·r_k of a block are taken as block products (see
+    The piece weights c_k·r_k of a block are taken as block products (see
     :func:`_horner_rows`), which round as the row products do, so a run's
     bits do not depend on the runs its block happens to span.
 
@@ -501,14 +499,12 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
     when every run is one piece (the loop then takes the closed form's
     steps), when one mode alone is live (a one-mode loop takes one-element
     row products, which round unlike the whole loop's block products) and
-    when a dead product could
-    overflow, so that an overflow still ends in the loop's NaN: a dead |1/λ|
-    is below min Δ/36, and the bound m·max|v|·max|b|·min Δ/36 must stay far
-    below the float range.
+    when a dead product could overflow, so that an overflow still ends in
+    the loop's NaN: a dead |1/λ| is below min Δ/36, and the bound
+    m·max|v|·max|b|·min Δ/36 must stay far below the float range.
     """
     if per_mode and vals.shape[1] != lams.size:
         raise SignalError("per-mode signal does not match the mode count")
-    outer = vals.ndim == 2 and not per_mode and cols is None
     split = len(widths) > len(starts)  # runs of one piece each: nothing to save
     with np.errstate(under="ignore", over="ignore"):
         if split:  # more than half dead, and not one lone live mode
@@ -521,15 +517,15 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
             big = 1.0 if cols is None else len(cols) * np.abs(cols).max()
             split = np.isfinite(16.0 * big * np.abs(vals).max() * wmin)
     if not split:
-        yield from _horner_rows(lams, widths, vals, starts, cols, outer)
+        yield from _horner_rows(lams, widths, vals, starts, cols)
         return
     live, dead = np.flatnonzero(~dead), np.flatnonzero(dead)
     c0 = -1.0 / lams[dead]  # z·(1/λ) with z = -1
     cd = None if cols is None else cols.take(dead, axis=1)
     parts = _horner_rows(lams[live], widths, vals.take(live, axis=1) if per_mode else vals,
-                         starts, None if cols is None else cols.take(live, axis=1), outer)
+                         starts, None if cols is None else cols.take(live, axis=1))
     for s, part in zip(reversed(list(starts)), parts):
-        out = np.empty(lams.shape + part.shape[1:], dtype=complex)
+        out = np.empty(lams.shape, dtype=complex)
         out[live] = part
         c, v = c0.copy(), vals[s].take(dead) if per_mode else vals[s]
         with np.errstate(under="ignore"):  # the row loop's products, as it takes them
@@ -538,17 +534,14 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
                 for j in range(1, len(cd)):
                     r += v[j] * cd[j]
                 c *= r
-            elif outer:
-                c = c[:, None] * v
             else:
                 c *= v
             out[dead] = c + 0.0
         yield out
 
 
-def _horner_rows(lams, widths, vals, starts, cols, outer):
-    """The row loop of :func:`_horner` over the modes ``lams``: ``outer``
-    when an m-channel ``vals`` is summed per channel.
+def _horner_rows(lams, widths, vals, starts, cols):
+    """The row loop of :func:`_horner` over the modes ``lams``.
 
     Each block's piece weights c = z·(1/λ) and value rows r (mixed through
     ``cols``) are taken as products over the whole block, at most
@@ -557,10 +550,8 @@ def _horner_rows(lams, widths, vals, starts, cols, outer):
     same bits in a block as alone (measured with numpy 2.4.6; the split test
     holds the kernel to the plain row loop).  A one-element product's bits
     depend on its operands' layout (scalar, broadcast or array), so a
-    one-mode pass keeps the row products, as does the per-channel ``outer``
-    layout.
+    one-mode pass keeps the row products.
     """
-    shape = lams.shape + vals.shape[1:] if outer else lams.shape
     mag = np.abs(lams)
     no_inv = ~(mag * min(widths.min(), 1.0) >= _TINY)
     bad = np.flatnonzero(no_inv)
@@ -569,9 +560,9 @@ def _horner_rows(lams, widths, vals, starts, cols, outer):
     inv = 1.0 / np.where(no_inv, 1.0, lams)
     inv[no_inv] = 0.0
     starts = list(starts)
-    acc = np.zeros(shape, dtype=complex)
+    acc = np.zeros(lams.shape, dtype=complex)
     step = max(1, _BLOCK_ENTRIES // max(lams.size, 1))
-    per_row = outer or lams.size == 1
+    per_row = lams.size == 1
     for hi in range(len(widths), 0, -step):
         lo = max(0, hi - step)
         done = []
@@ -585,27 +576,24 @@ def _horner_rows(lams, widths, vals, starts, cols, outer):
                     sub = bad[~(mag[bad] * min(dk, 1.0) >= _TINY)]
                     c[k][sub] = dk * _h(w[k, sub], z[k, sub])
             if per_row:
-                c = [_piece_terms(ck, v, cols, outer) for ck, v in zip(c, vals[lo:hi])]
+                c = [_piece_terms(ck, v, cols) for ck, v in zip(c, vals[lo:hi])]
             else:
-                c = _piece_terms(c, vals[lo:hi], cols, outer)
+                c = _piece_terms(c, vals[lo:hi], cols)
             for k in range(hi - lo - 1, -1, -1):
-                acc += z[k][..., None] * acc if outer else z[k] * acc
+                acc += z[k] * acc
                 acc += c[k]
                 if lo + k == starts[-1]:
                     done.append(acc)
-                    acc = np.zeros(shape, dtype=complex)
+                    acc = np.zeros(lams.shape, dtype=complex)
                     starts.pop()
         yield from done  # outside errstate: the caller runs between yields
 
 
-def _piece_terms(c, v, cols, outer):
-    """The piece weights ``c`` times their value rows ``v``, in place but
-    for ``outer``: one piece (``c`` n long, ``v`` its value row) or a block
-    (``c`` K×n, ``v`` K value rows).  A row is v for a scalar or per-mode
-    signal, Σ_j v_j b_j through the rows b_j of ``cols`` and, for ``outer``,
-    one column per channel."""
-    if outer:
-        return c[:, None] * v
+def _piece_terms(c, v, cols):
+    """The piece weights ``c`` times their value rows ``v``, in place: one
+    piece (``c`` n long, ``v`` its value row) or a block (``c`` K×n, ``v`` K
+    value rows).  A row is v for a scalar or per-mode signal, and Σ_j v_j b_j
+    through the rows b_j of ``cols``."""
     if cols is not None:
         if c.ndim == 2:
             v = v.T[..., None]  # channel j of every piece as a K×1 column
@@ -652,38 +640,6 @@ def counterexample_intervals(gammas) -> list[tuple[int, float, float]]:
         elif b[m + 1] > a[m]:
             raise SignalError("support intervals overlap")
     return [(m + 1, float(a[m]), float(b[m])) for m in range(gam.size)]
-
-
-def worst_case_phases(
-    integrals,
-    weights,
-    mode_coeffs,
-    breakpoints=None,
-    real_field: bool = False,
-    restarts: int = 8,
-    iters: int = 200,
-    seed: int = 0,
-) -> tuple[PiecewiseSignal | None, float]:
-    """Maximize ‖Σ_k v_k b_n E_{nk}‖_w over piece values |v_k| ≤ 1.
-
-    Alternating phase alignment on the Gram G = M* diag(w) M of M = diag(b) E
-    (see :func:`_phase_search`).  The best iterate is returned as a certified
-    lower bound for the input-map norm over this piecewise-constant subclass
-    (the true supremum ranges over all of L^∞, so this is a lower bound, never
-    a norm).
-    """
-    E = np.asarray(integrals, dtype=complex)
-    if E.ndim != 2:
-        raise SignalError("integrals must be a (modes, pieces) matrix")
-    w = np.asarray(weights, dtype=float)
-    b = np.asarray(mode_coeffs, dtype=complex)
-    M = b[:, None] * E
-    G = M.conj().T @ (w[:, None] * M)
-    best_v, best_val = _phase_search(G, real_field, restarts, iters, seed)
-    u = None
-    if breakpoints is not None:
-        u = PiecewiseSignal(breakpoints, best_v, "piecewise")
-    return u, best_val
 
 
 def _phase_search(
@@ -750,25 +706,32 @@ def random_signal(
     The horizon must be finite and hold ``n_pieces + 1`` distinct doubles in
     [0, horizon]; a positive double's bit pattern counts the doubles below
     it.  Breakpoints are drawn until that many are distinct, so without the
-    check a subnormal horizon, or inf or NaN, would draw forever.
+    check a subnormal horizon, or inf or NaN, would draw forever.  A piece
+    or channel count whose draws do not fit in memory is a SignalError
+    naming both counts.
     """
-    if n_pieces < 1 or not 0.0 < horizon < math.inf:
+    if n_pieces < 1 or n_channels < 1 or not 0.0 < horizon < math.inf:
         raise SignalError(
-            f"need a finite positive horizon and at least one piece, got "
-            f"horizon={horizon!r}, n_pieces={n_pieces!r}"
+            f"need a finite positive horizon, at least one piece and one channel, "
+            f"got horizon={horizon!r}, n_pieces={n_pieces!r}, n_channels={n_channels!r}"
         )
     if n_pieces > int(np.float64(horizon).view(np.int64)):
         raise SignalError(
             f"horizon {horizon!r} holds fewer than {n_pieces + 1} distinct breakpoints"
         )
-    interior = np.sort(rng.random(n_pieces - 1)) * horizon
-    bp = np.concatenate([[0.0], interior, [horizon]])
-    bp = np.unique(bp)
-    while len(bp) < n_pieces + 1:
-        bp = np.unique(np.concatenate([bp, rng.random(n_pieces + 1 - len(bp)) * horizon]))
-    shape = (n_pieces,) if n_channels == 1 else (n_pieces, n_channels)
-    if complex_field:
-        vals = amplitude * rng.random(shape) * np.exp(2j * math.pi * rng.random(shape))
-    else:
-        vals = amplitude * (2.0 * rng.random(shape) - 1.0) + 0j
+    try:
+        interior = np.sort(rng.random(n_pieces - 1)) * horizon
+        bp = np.concatenate([[0.0], interior, [horizon]])
+        bp = np.unique(bp)
+        while len(bp) < n_pieces + 1:
+            bp = np.unique(np.concatenate([bp, rng.random(n_pieces + 1 - len(bp)) * horizon]))
+        shape = (n_pieces,) if n_channels == 1 else (n_pieces, n_channels)
+        if complex_field:
+            vals = amplitude * rng.random(shape) * np.exp(2j * math.pi * rng.random(shape))
+        else:
+            vals = amplitude * (2.0 * rng.random(shape) - 1.0) + 0j
+    except (MemoryError, ValueError) as exc:  # numpy's ValueError: beyond any address space
+        raise SignalError(
+            f"n_pieces {n_pieces} x channels {n_channels} does not fit in memory"
+        ) from exc
     return PiecewiseSignal(bp, vals, "piecewise")

@@ -4,14 +4,16 @@ The library builds the phase-search Grams from powers on a uniform grid,
 runs every restart of the phase search as one block and finds the chain
 bound's picks by ``searchsorted``.  These are the plain forms they replace:
 the n×K matrix of exact piece integrals, its Gram M* diag(w) M, the search
-one restart at a time and the greedy chain loop over every mode.
+one restart at a time and the greedy chain loop over every mode.  The dense
+phase oracle, :func:`worst_case_phases`, runs the library's search on such a
+Gram of any integral matrix.
 """
 
 import math
 
 import numpy as np
 
-from admlab.signals import _h
+from admlab.signals import PiecewiseSignal, SignalError, _h, _phase_search
 
 
 def expdiff_matrix(lams, edges) -> np.ndarray:
@@ -33,6 +35,38 @@ def dense_grams(lams, weights, coeffs, edges) -> np.ndarray:
         M = b[:, None] * E
         out.append(M.conj().T @ (w * M))
     return np.array(out)
+
+
+def worst_case_phases(
+    integrals,
+    weights,
+    mode_coeffs,
+    breakpoints=None,
+    real_field: bool = False,
+    restarts: int = 8,
+    iters: int = 200,
+    seed: int = 0,
+) -> tuple[PiecewiseSignal | None, float]:
+    """Maximize ‖Σ_k v_k b_n E_{nk}‖_w over piece values |v_k| ≤ 1.
+
+    Alternating phase alignment on the Gram G = M* diag(w) M of M = diag(b) E
+    (see ``signals._phase_search``).  The best iterate is returned as a
+    certified lower bound for the input-map norm over this piecewise-constant
+    subclass (the true supremum ranges over all of L^∞, so this is a lower
+    bound, never a norm).
+    """
+    E = np.asarray(integrals, dtype=complex)
+    if E.ndim != 2:
+        raise SignalError("integrals must be a (modes, pieces) matrix")
+    w = np.asarray(weights, dtype=float)
+    b = np.asarray(mode_coeffs, dtype=complex)
+    M = b[:, None] * E
+    G = M.conj().T @ (w[:, None] * M)
+    best_v, best_val = _phase_search(G, real_field, restarts, iters, seed)
+    u = None
+    if breakpoints is not None:
+        u = PiecewiseSignal(breakpoints, best_v, "piecewise")
+    return u, best_val
 
 
 def phase_search_loop(G, real_field, restarts, iters, seed):

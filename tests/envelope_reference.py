@@ -84,8 +84,9 @@ def envelope_trials(A, B, gains, n_trials, horizon, seed, n_times):
             if held and (len(held) == len(block) or j == n_times - 1):
                 lhs[held] = _weighted_norms(A.weights, block[: len(held)])
                 held = []
-        for t, d, l, g in zip(times.tolist(), decay, lhs.tolist(), gains(u, times)):
-            rhs = d * x0n + float(g)
+        g = gains(u, times)
+        for j, (t, d, l) in enumerate(zip(times.tolist(), decay, lhs.tolist())):
+            rhs = d * x0n + float(g(j))
             if rhs > 0.0:
                 max_ratio = max(max_ratio, l / rhs)
             if l > rhs + 1e-8:

@@ -71,3 +71,33 @@ def test_the_bounds_come_from_the_benchmark_file(tmp_path):
         ' "per_layer": [{"name": "calls", "better": "lower"}]}')
     assert ab._metrics(tmp_path) == {"wall_s": ("lower", 0.24), "calls": ("lower", None)}
     assert ab._metrics(tmp_path / "missing") == {}
+
+
+_FAKE_RUN = """\
+import json, os, sys
+with open("seen.txt", "a") as f:
+    f.write(os.environ.get("PYTHONPYCACHEPREFIX", "") + "\\n")
+    f.write(f"writes bytecode: {not sys.dont_write_bytecode}\\n")
+print(json.dumps({"metrics": {"wall_s": {"value": 1.0}}, "failed": 0}))
+"""
+
+
+def test_each_side_compiles_into_its_own_fresh_cache(tmp_path, capsys, monkeypatch):
+    # a fake checkout's bench/run.py records the bytecode prefix it ran with,
+    # and that it may write there even where the caller's environment says not
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root in roots:
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text(_FAKE_RUN)
+    assert ab.main([str(r) for r in roots] + ["--workload", "fake", "--pairs", "2"]) == 0
+    assert "pair 2 (change first)" in capsys.readouterr().out
+    lines = [(root / "seen.txt").read_text().splitlines() for root in roots]
+    assert all(set(ls[1::2]) == {"writes bytecode: True"} for ls in lines)
+    seen = [ls[::2] for ls in lines]
+    assert all(len(s) == 2 and len(set(s)) == 1 for s in seen)  # one cache a side
+    (parent,), (change,) = map(set, seen)
+    assert parent != change
+    for prefix, root in ((parent, roots[0]), (change, roots[1])):
+        assert not Path(prefix).is_relative_to(root)
+        assert not Path(prefix).exists()  # removed with its temporary directory

@@ -283,7 +283,7 @@ def test_envelope_counts_a_state_outside_x_as_a_violation(monkeypatch):
     monkeypatch.setattr(certify, "_weighted_norms", weighted_norms)
     with pytest.warns(UserWarning, match="left X numerically"):
         max_ratio, violations = _envelope_trials(
-            A, B, lambda u, times: np.ones(len(times)), n_trials=2, horizon=1.0, seed=0,
+            A, B, lambda u, times: lambda j: 1.0, n_trials=2, horizon=1.0, seed=0,
             n_times=3)
     assert sum(measured_rows) == 0, "took the norm of a state outside X"
     assert max_ratio == math.inf
@@ -291,7 +291,7 @@ def test_envelope_counts_a_state_outside_x_as_a_violation(monkeypatch):
     assert all(v["lhs"] == math.inf for v in violations)
     # the guard watches the pass that measures states inside X
     B = InputOperator.columns(np.array([[1.0], [0.5]]))
-    _envelope_trials(A, B, lambda u, times: np.ones(len(times)), n_trials=2, horizon=1.0,
+    _envelope_trials(A, B, lambda u, times: lambda j: 1.0, n_trials=2, horizon=1.0,
                      seed=0, n_times=3)
     assert sum(measured_rows) == 6
 

@@ -735,3 +735,29 @@ def test_probe_boundedness_takes_a_weighted_probe_rule(tmp_path):
         reports.append((report["results"], (out / "probe.csv").read_bytes()))
     assert reports[1] == reports[0] and reports[2] == reports[0]
     assert [r["N"] for r in reports[0][0]["rows"]] == [2, 2, 2, 4, 4, 4]
+
+
+@pytest.mark.parametrize("golden, key, value, cause", [
+    # the phase-search Grams of 10**7 pieces need 1.42 PiB
+    pytest.param("adm-columns-zero-class", "n_pieces", 10**7,
+                 f"n_pieces {10**7}", id="adm-pieces"),
+    # 10**15 random breakpoints need 7.11 PiB
+    pytest.param("simulate-columns", "signal/n_pieces", 10**15,
+                 f"n_pieces {10**15} x channels 3", id="random-pieces"),
+    # 7 pieces of 10**17 random channels need 5.6 EB
+    pytest.param("simulate-columns", "signal/channels", 10**17,
+                 f"n_pieces 7 x channels {10**17}", id="random-channels"),
+])
+def test_sizes_beyond_memory_exit_1_naming_the_size(tmp_path, capsys, golden, key, value, cause):
+    # every size is beyond any address space, so numpy refuses it at once
+    scenario = json.loads((GOLDEN / golden / "scenario.json").read_text())
+    *path, last = key.split("/")
+    obj = scenario
+    for part in path:
+        obj = obj[part]
+    obj[last] = value
+    assert cli._validator().is_valid(scenario)
+    scn = _write(tmp_path, "s.json", scenario)
+    command = golden.split("-")[0]
+    assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {cause} does not fit in memory\n"

@@ -63,21 +63,18 @@ def _operator(rng, n, m, leave):
 
 def _gains(kind, size, luxemburg):
     """ISS-style (slope times the running sup) or iISS-style (C times the
-    windows' Luxemburg norms) gains; the change reads the iISS ones on
-    demand, as ``iiss_certificate`` does, the reference takes them all."""
+    windows' Luxemburg norms) gains as functions of the window index; the
+    change calls the iISS ones only where it needs them, as
+    ``iiss_certificate`` does, the reference calls them all."""
     if kind == "iss":
-        return lambda u, times: size * u._running_sup(times)
+        return lambda u, times: (size * u._running_sup(times)).item
     phi = compose_sqrt(PSIS["segments"])
 
     def norm(profile):
         luxemburg.append(1)
         return size * luxemburg_norm(phi, SampledFunction._cut(*profile))
 
-    def gains(u, times):
-        profiles = list(u._prefix_profiles(times))
-        return certify._OnDemand(lambda j: norm(profiles[j]))
-
-    return gains
+    return lambda u, times: lambda j: norm(u._prefix_profile(times[j]))
 
 
 def _run(envelope, *args):
@@ -156,6 +153,6 @@ def test_window_norms_never_fall_by_more_than_the_floor_margin(
                             u.breakpoints[1:], np.nextafter(u.breakpoints[1:-1], np.inf),
                             rng.uniform(0.0, horizon, 4)])
     times = np.unique(times[(times > 0.0) & (times <= horizon)])
-    norms = [luxemburg_norm(phi, SampledFunction._cut(*p)) for p in u._prefix_profiles(times)]
+    norms = [luxemburg_norm(phi, SampledFunction._cut(*u._prefix_profile(t))) for t in times]
     running = np.maximum.accumulate(norms)
     assert (np.array(norms[1:]) >= running[:-1] * (1.0 - certify._GAIN_FLOOR)).all()

@@ -1,6 +1,14 @@
 """The Horner kernel with dead modes out of its row loop, against the whole
 loop bit for bit, and the semigroup factors against the plain exponential.
 
+The kernel takes one value per mode and piece; an m-channel signal without
+columns (layout "outer") runs as one scalar pass per channel, as
+``mode_integrals`` runs it.  The reference's whole loop still has the
+per-channel layout, and for n >= 2 modes the scalar passes match it bit for
+bit.  A one-mode pass does not: numpy rounds a one-element complex product
+by its operands' layout, so there the scalar passes are compared with the
+reference's own scalar passes.
+
 Needs ``hypothesis`` (the ``test`` extra); the module is skipped without it.
 """
 
@@ -13,11 +21,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admlab import signals
-from admlab.signals import _horner
+from admlab.signals import PiecewiseSignal, _horner, mode_integrals
 from admlab.spectral import DiagonalGenerator, _semigroup_factors
 from horner_reference import horner
 
 LAYOUTS = ("scalar", "per-mode", "cols", "outer")
+
+
+def _per_channel(kernel, lams, widths, vals, starts):
+    """Each run's sums of an m-channel pass, from one scalar pass per channel
+    stacked as the columns of an n×m array."""
+    runs = [list(kernel(lams, widths, v, starts=starts)) for v in vals.T]
+    return [np.stack(sums, axis=1) for sums in zip(*runs)]
+
+
+def _passes(lams, widths, vals, per_mode, starts, cols, layout):
+    """The kernel's run sums and the reference's, for one random pass."""
+    if layout != "outer":
+        return (list(_horner(lams, widths, vals, per_mode, starts, cols)),
+                list(horner(lams, widths, vals, per_mode, starts, cols)))
+    got = _per_channel(_horner, lams, widths, vals, starts)
+    if lams.size == 1:
+        return got, _per_channel(horner, lams, widths, vals, starts)
+    return got, list(horner(lams, widths, vals, False, starts))
 
 
 def _pass(rng, n, K, layout, dead_share, n_runs, special, scale):
@@ -72,8 +98,7 @@ def test_the_split_pass_is_the_whole_loop_bit_for_bit(
     lams, widths, vals, per_mode, starts, cols = _pass(
         rng, n, K, layout, dead_share, n_runs, special, scale)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = list(_horner(lams, widths, vals, per_mode, starts, cols))
-        want = list(horner(lams, widths, vals, per_mode, starts, cols))
+        got, want = _passes(lams, widths, vals, per_mode, starts, cols, layout)
     assert len(got) == len(want) == len(starts)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -107,9 +132,20 @@ def test_one_dead_mode_alone(layout):
     for _ in range(20):
         lams, widths, vals, per_mode, starts, cols = _pass(
             rng, 1, 4, layout, 1.0, 2, "none", 1.0)
-        got = list(_horner(lams, widths, vals, per_mode, starts, cols))
-        want = list(horner(lams, widths, vals, per_mode, starts, cols))
+        got, want = _passes(lams, widths, vals, per_mode, starts, cols, layout)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_m_channel_mode_integrals_are_the_per_channel_passes(n):
+    # mode_integrals stacks one scalar pass per channel into the (n, m) array
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        lams, widths, vals, _, _, _ = _pass(rng, n, 6, "outer", 0.8, 1, "none", 1.0)
+        u = PiecewiseSignal(np.concatenate([[0.0], np.cumsum(widths)]), vals)
+        _, (want,) = _passes(lams, np.diff(u.breakpoints), vals, False, [0], None, "outer")
+        got = mode_integrals(lams, u)
+        assert got.shape == (n, 3) and got.tobytes() == want.tobytes()
 
 
 def _reference_factors(A, t):

@@ -21,9 +21,15 @@ from hypothesis import strategies as st
 
 from admlab import signals
 from admlab.admissibility import InputOperator, _chain_lower, linfty_bounds
-from admlab.signals import _grid_grams, _phase_search, worst_case_phases
+from admlab.signals import _grid_grams, _phase_search
 from admlab.spectral import DiagonalGenerator
-from dense_lower import chain_lower_loop, dense_grams, expdiff_matrix, phase_search_loop
+from dense_lower import (
+    chain_lower_loop,
+    dense_grams,
+    expdiff_matrix,
+    phase_search_loop,
+    worst_case_phases,
+)
 
 
 def _spectrum(rng, n):

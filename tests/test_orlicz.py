@@ -486,8 +486,9 @@ def test_young_json_roundtrip():
         young_from_json({"segments": [{"x0": 0.0}]})
 
 
-def test_from_callable_and_scaled():
-    f = SampledFunction.from_callable(lambda s: np.exp(-s), np.linspace(0, 2, 9))
+def test_scaled_scales_the_sup_and_the_l1_norm():
+    edges = np.linspace(0, 2, 9)
+    f = SampledFunction(edges, np.exp(-edges[:-1]))
     assert f.sup_norm() == pytest.approx(1.0)
     g = f.scaled(3.0)
     assert g.sup_norm() == pytest.approx(3.0)

@@ -15,9 +15,9 @@ from admlab.signals import (
     counterexample_intervals,
     mode_integrals,
     random_signal,
-    worst_case_phases,
 )
 from dense_counterexample import counterexample_input
+from dense_lower import worst_case_phases
 
 MODES = np.array([-1.0, -2.0 + 1.5j, -1e-9, -1e-9 + 1e-9j], dtype=complex)
 

@@ -228,7 +228,7 @@ def test_every_e_w_minus_1_call_stays_within_the_block_cap(monkeypatch, tmp_path
     B = InputOperator.aminus_x0(x0)
     u = signals.random_signal(rng, 4.0, 10)
     trajectory(A, B, SpectralVector(x0), u, 3.0)
-    _envelope_trials(A, B, lambda u, times: np.ones(len(times)), n_trials=3, horizon=4.0,
+    _envelope_trials(A, B, lambda u, times: lambda j: 1.0, n_trials=3, horizon=4.0,
                      seed=1, n_times=9)
     scenario = tmp_path / "simulate.json"
     scenario.write_text(json.dumps({

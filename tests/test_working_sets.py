@@ -19,9 +19,8 @@ from admlab.admissibility import InputOperator, linfty_bounds, orlicz_adm_bound
 from admlab.certify import counterexample_run, weiss_check
 from admlab.cli import emit_plotdata
 from admlab.orlicz import power_young
-from admlab.signals import worst_case_phases
 from admlab.spectral import DiagonalGenerator
-from dense_lower import expdiff_matrix
+from dense_lower import expdiff_matrix, worst_case_phases
 
 CAP_MB = 8.0
 

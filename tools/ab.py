@@ -8,25 +8,31 @@ Usage, from anywhere::
 PARENT and CHANGE are two checkouts of the repository (``git archive`` or
 ``git clone`` copies).  Each pair runs ``python3 bench/run.py`` once in each
 checkout, alternating which side runs first, and reads the last JSON line
-each run prints.  Every pair's values are printed as they come; then, per
-metric, each side's median and quartiles, the number of pairs the change
-wins (ties count for neither side), whether a gain may be claimed (the
-change wins at least nine tenths of the pairs and the medians differ, in the
-better direction, by more than the distance between the parent's quartiles)
-and whether the change regressed: its median is worse than the parent's by
-more than the metric's ``bound``, a fraction of the parent's median.  The
-better direction and the bound of each metric are read from the change's
-``BENCHMARK.json`` (lower, and no bound, when it does not name the metric).
-Standard library only.
+each run prints.  Each side keeps its bytecode in its own fresh temporary
+directory (``PYTHONPYCACHEPREFIX``), written on its first run and read on
+the later ones, so neither side reads bytecode left in a checkout by
+earlier runs of other code; the first pair's ``setup_s`` holds that
+compile on both sides.  Every pair's values are
+printed as they come; then, per metric, each side's median and quartiles,
+the number of pairs the change wins (ties count for neither side), whether
+a gain may be claimed (the change wins at least nine tenths of the pairs and
+the medians differ, in the better direction, by more than the distance
+between the parent's quartiles) and whether the change regressed: its
+median is worse than the parent's by more than the metric's ``bound``, a
+fraction of the parent's median.  The better direction and the bound of
+each metric are read from the change's ``BENCHMARK.json`` (lower, and no
+bound, when it does not name the metric).  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -67,10 +73,12 @@ def _metrics(root: Path) -> dict:
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
-def _run(root: Path, args) -> dict:
+def _run(root: Path, args, pycache: Path) -> dict:
     cmd = ["python3", "bench/run.py", "--workload", args.workload, "--seed",
            str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # else every run compiles every module
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"ab: {' '.join(cmd)} in {root} exited {proc.returncode}")
@@ -95,13 +103,14 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(_run(getattr(args, side), args))
-        p, c = runs["parent"][-1], runs["change"][-1]
-        print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
-            f"{name} {p[name]:.4g}/{c[name]:.4g}" for name in p), flush=True)
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as tmp:
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(_run(getattr(args, side), args, Path(tmp) / side))
+            p, c = runs["parent"][-1], runs["change"][-1]
+            print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
+                f"{name} {p[name]:.4g}/{c[name]:.4g}" for name in p), flush=True)
     metrics = _metrics(args.change)
     print(f"{args.workload}, {args.pairs} pairs, seed {args.seed}: "
           "median [q1, q3] parent | change, wins, gain, regressed beyond the bound")
