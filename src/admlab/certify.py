@@ -3,8 +3,10 @@
 Five families of checks:
 
 * the resolvent (Weiss-type) condition ``sup_{Re l > 0} ||(p Re l)^{1/p}
-  R(l, A_{-1}) B|| < oo``, evaluated on a six-decade half-plane grid plus
-  per-mode optimizer candidates, with exact per-mode maxima alongside;
+  R(l, A_{-1}) B|| < oo``: in closed form for the diagonal form and for
+  p = 1, on the imaginary axis for p = oo and on a six-decade half-plane grid
+  for p = 2 (both with per-mode optimizer candidates), with exact per-mode
+  maxima alongside;
 * square-function constants ``k ||x||^2 <= int_0^oo ||phi0(tA) x||^2 dt/t <=
   K ||x||^2`` for ``phi0(z) = (-z)^{1/2} e^{z}``, where the per-mode integral
   is ``|lambda|/(2|Re lambda|)`` in closed form (the report also prints the
@@ -79,6 +81,8 @@ _DIVERGENCE_THRESHOLD = 1e6
 _DIVERGENCE_ROWS = 4096  # divergence rows: every m up to here, log-spaced past it
 _GAIN_FLOOR = 1e-9  # a later window's gain is at least (1 - this)·an earlier one's
 _WEISS_CANDIDATES = 1000  # most per-mode optimizer candidates, the most oblique modes
+_WEISS_RE = np.geomspace(1e-6, 1e6, 25)  # the plane's rows Re l (p = 2)
+_WEISS_IM = np.concatenate([-_WEISS_RE[::-1], [0.0], _WEISS_RE])  # Im l of a row
 _SQFCT_REL_TOL = 1e-8  # the quadrature cross-check's tolerance, relative
 _SQFCT_QUAD_MODES = 64  # modes the quadrature cross-check runs on
 
@@ -101,6 +105,7 @@ class WeissReport:
     n_candidates: int
     skipped: int
     kind: str
+    route: str
 
     def to_json(self) -> dict:
         return {
@@ -111,6 +116,7 @@ class WeissReport:
             "n_candidates": self.n_candidates,
             "skipped": self.skipped,
             "kind": self.kind,
+            "route": self.route,
         }
 
 
@@ -120,31 +126,51 @@ def _weiss_factor(p: float, re: np.ndarray) -> np.ndarray:
     return (p * re) ** (1.0 / p)
 
 
+def _inverse_squares(dist: np.ndarray) -> np.ndarray:
+    """1 / dist^2, in place of numpy's generic ``pow`` for ``dist**-2``.
+
+    One temporary, not the two of ``1 / (dist * dist)``: at a block's size each
+    is a fresh mapping whose page faults cost more than the division."""
+    sq = dist * dist
+    return np.divide(1.0, sq, out=sq)
+
+
+def _check_finite(squares: np.ndarray) -> None:
+    if not np.isfinite(squares).all():
+        raise CertifyError("a squared resolvent norm is beyond the float range")
+
+
 def _resolvent_norms(
     A: DiagonalGenerator, B: InputOperator
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The map from a points-by-modes block ``dist`` of |mu - lambda_n| to
-    ||R(mu, A_{-1}) B|| at each of its points, exact per kind; the per-mode
-    data is formed once, for every block.
+    ||R(mu, A_{-1}) B|| at each of its points, for a finite-rank B; the
+    per-mode data is formed once, for every block.
 
     For m >= 2 columns the squared norm at mu is the largest eigenvalue of
     the m x m Gram G(mu) = sum_n w_n conj(b_n) b_n^T / |mu - lambda_n|^2,
-    taken for every point of the block by one real product with ``dist``."""
-    lam = A.eigenvalues
-    if B.kind == "aminus_full":
-        mag = np.abs(lam)
-        return lambda dist: np.max(mag / dist, axis=1)
+    taken for every point of the block by one real product with ``dist``.
+    A squared norm or Gram entry beyond the float range (the input's rows
+    overflow when squared) is a :class:`CertifyError`, not a NaN or an
+    eigensolver failure."""
     cols = B._coefficients(A)
     m = cols.shape[1]
     if m == 1:
         c = A.weights * np.abs(cols[:, 0]) ** 2
-        return lambda dist: np.sqrt(dist**-2 @ c)
+
+        def norms(dist: np.ndarray) -> np.ndarray:
+            squares = _inverse_squares(dist) @ c
+            _check_finite(squares)
+            return np.sqrt(squares)
+
+        return norms
     outer = A.weights[:, None, None] * cols.conj()[:, :, None] * cols[:, None, :]
     # complex entries as (re, im) float pairs: one real product for the block
-    flat = np.ascontiguousarray(outer.reshape(len(lam), m * m)).view(float)
+    flat = np.ascontiguousarray(outer.reshape(len(cols), m * m)).view(float)
 
     def gram_norms(dist: np.ndarray) -> np.ndarray:
-        gram = (dist**-2 @ flat).view(complex).reshape(len(dist), m, m)
+        gram = (_inverse_squares(dist) @ flat).view(complex).reshape(len(dist), m, m)
+        _check_finite(gram)
         return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
     return gram_norms
@@ -168,10 +194,8 @@ def _weiss_per_mode_closed(A: DiagonalGenerator, B: InputOperator, p: float) -> 
         vals = mag / re
     elif p == 2.0:
         vals = mag / np.sqrt(2.0 * re)
-    elif p == 1.0:
-        vals = mag  # approached as Re lambda -> +oo
     else:
-        raise CertifyError("p must be one of {1, 2, inf}")
+        vals = mag  # p = 1: approached as Re lambda -> +oo
     return float(np.max(vals))
 
 
@@ -179,76 +203,82 @@ def _weiss_row_bounds(
     A: DiagonalGenerator, B: InputOperator, p: float, re: np.ndarray
 ) -> np.ndarray:
     """An upper bound on (p r)^{1/p} ||R(mu, A_{-1}) B|| over the whole line
-    Re mu = r, for each r in ``re``.
+    Re mu = r, for each r in ``re``, for a finite-rank B.
 
     On that line |mu - lambda_n| >= r + |Re lambda_n|, so every row of the
-    resolvent is at most t_n = mag_n / (r + |Re lambda_n|): the bound is
-    max t_n for ``aminus_full`` (a diagonal operator) and ||t||_2 otherwise
-    (the Gram's largest eigenvalue is at most its trace)."""
+    resolvent is at most t_n = mag_n / (r + |Re lambda_n|), and the norm is
+    at most ||t||_2 (the Gram's largest eigenvalue is at most its trace)."""
     mag = _mode_magnitudes(A, B)
     re_abs = np.abs(A.eigenvalues.real)
     out = np.empty(len(re))
     step = _block_rows(len(mag), _GRID_ENTRIES)
     for i in range(0, len(re), step):
-        t = mag / (re[i : i + step, None] + re_abs)
-        out[i : i + step] = (
-            t.max(axis=1) if B.kind == "aminus_full" else np.linalg.norm(t, axis=1)
-        )
+        out[i : i + step] = np.linalg.norm(mag / (re[i : i + step, None] + re_abs), axis=1)
     return _weiss_factor(p, re) * out
 
 
 def _weiss_candidates(A: DiagonalGenerator, p: float) -> np.ndarray:
+    """Where each of the (at most 1000) most oblique modes alone peaks:
+    i Im lambda_n on the axis (p = oo), |Re lambda_n| + i Im lambda_n (p = 2)."""
     lam = A.eigenvalues
     re = np.abs(lam.real)
     if lam.size > _WEISS_CANDIDATES:
         score = np.abs(lam) / re
         idx = np.argpartition(-score, _WEISS_CANDIDATES - 1)[:_WEISS_CANDIDATES]
         lam, re = lam[idx], re[idx]
-    if math.isinf(p):
-        return 1e-9 * re + 1j * lam.imag
-    if p == 1.0:
-        return 1e9 * (1.0 + np.abs(lam)) + 1j * lam.imag
-    return re + 1j * lam.imag
+    return (0.0 if math.isinf(p) else re) + 1j * lam.imag
 
 
 def weiss_check(
-    A: DiagonalGenerator,
-    B: InputOperator,
-    p: float = math.inf,
-    n_re: int = 25,
-    n_im: int = 25,
+    A: DiagonalGenerator, B: InputOperator, p: float = math.inf
 ) -> WeissReport:
-    """Grid supremum of ||(p Re l)^{1/p} R(l, A_{-1}) B|| over Re l > 0.
+    """sup over Re l > 0 of ||(p Re l)^{1/p} R(l, A_{-1}) B||, exact where it
+    is known in closed form.  ``route`` names how it was found:
 
-    The grid spans Re l in [1e-6, 1e6] (log) and Im l in [-1e6, 1e6]
-    (symmetric log plus the real axis); per-mode optimizer candidates are
-    appended (capped at the 1000 most oblique modes) so coarseness cannot
-    silently underestimate, and the exact per-mode maxima are reported
-    alongside.  Points that land numerically on the spectrum are skipped and
-    counted (impossible for the open right half-plane grid, kept as a guard).
+    * ``"closed-form"``, in O(n): for ``aminus_full`` the resolvent is
+      diagonal, so the supremum is the largest one-mode supremum,
+      ``closed_form`` itself, at every p.  For p = 1 and finite rank,
+      Re l / |l - lambda_n| < 1 rises to 1 as Re l -> oo, so the supremum is
+      sqrt(lambda_max(sum_n w_n conj(b_n) b_n^T)), approached and not
+      attained: one O(n m^2) sum and one m x m ``eigvalsh``.  ``n_grid`` and
+      ``n_candidates`` are 0.
+    * ``"axis"``, p = oo and finite rank: each term
+      w_n conj(b_n) b_n^T / |l - lambda_n|^2 decreases in Re l in the Loewner
+      order, so the supremum is the limit on the imaginary axis, where the
+      norm is continuous (no eigenvalue lies on it).  One row Re l = 0 is
+      evaluated: the 51 Im l of a grid row (0 and +-10^k, k = -6 .. 6 in 24
+      log steps) plus the candidates i Im lambda_n of the 1000 most oblique
+      modes.  Each point dominates every half-plane point above it, so the
+      value is at least that of a half-plane grid with those Im l, at
+      O(n (candidates + 51)).
+    * ``"plane"``, p = 2 and finite rank: a 25 x 51 grid (Re l log-spaced in
+      [1e-6, 1e6], the same Im l) plus the candidates
+      |Re lambda_n| + i Im lambda_n.  The candidates are evaluated first;
+      then the rows Re l = r run in order of decreasing row bound
+      (``_weiss_row_bounds``, one O(n) pass per row), and a row is left out
+      when its bound times 1 + 1e-9 is below the best value so far (the
+      margin covers the rounding of the bound and of the norms) and the
+      on-spectrum guard provably cannot fire on it:
+      r + min |Re lambda_n| > 1e-12 (1 + max |l|) over the row.  A row left
+      out cannot hold the maximum, so ``value`` and ``skipped`` are those of
+      every point, at O(n (candidates + 51 rows kept)).
 
-    The candidates are evaluated first.  Then the grid rows Re l = r run in
-    order of decreasing row bound (``_weiss_row_bounds``, one O(n) pass per
-    row), and a row is left out when its bound times 1 + 1e-9 is below the
-    best value so far (the margin covers the rounding of the bound and of
-    the norms) and the guard provably cannot fire on it:
-    r + min |Re lambda_n| > 1e-12 (1 + max |l|) over the row.  A row left
-    out cannot hold the maximum, so ``value`` and ``skipped`` are those of
-    every point, and the cost is O(n (candidates + 51 rows kept)) where it
-    was O(n 2275).
-
-    The points run in blocks of about ``_GRID_ENTRIES`` points·modes (at
-    least 4 points), so the working set is about 2 MB, not O(points·modes).
-    Each block builds its points-by-modes distance matrix once; the guard
-    and the resolvent norms both read it.  With m >= 2 columns the norms
-    come from the m x m Gram of every point in one product with that matrix
-    and one stacked ``eigvalsh``, not from an n x m SVD per point.  Points
-    run in whole 4-point groups of the blocks of one pass over all points,
-    so each norm is the same float as in that pass: the matrix-vector
-    kernel takes points four at a time.  A grid point the guard drops
-    shifts the rest of its run, which may move a later norm of that run in
-    its last bit; on the default grid the guard can reach only the points
-    Re l = 1e-6, Im l = +-1e6, for a mode within about 1e-6 of one.
+    On the axis and the plane ``value`` is the best evaluated point, an
+    achieved lower end of the supremum.  A point within 1e-12 (1 + |l|) of
+    the spectrum on the plane, or 1e-150 (1 + |l|) on the axis (where that
+    only keeps 1 / |l - lambda_n|^2 finite), is skipped and counted in
+    ``skipped``.  A squared norm beyond the float range is a
+    :class:`CertifyError` (``_resolvent_norms``).  The points run in blocks
+    of about ``_GRID_ENTRIES`` points·modes (at least 4 points), so the
+    working set is about 2 MB, not O(points·modes).  Each block builds its
+    points-by-modes distance matrix once; the guard and the resolvent norms
+    both read it.  With m >= 2 columns the norms come from the m x m Gram of
+    every point in one product with that matrix and one stacked
+    ``eigvalsh``.  Points run in whole 4-point groups of the blocks of one
+    pass over all points, so each norm is the same float as in that pass:
+    the matrix-vector kernel takes points four at a time.  A grid point the
+    guard drops shifts the rest of its run, which may move a later norm of
+    that run in its last bit.
     """
     if isinstance(p, str):
         try:
@@ -258,18 +288,28 @@ def weiss_check(
     if not (math.isinf(p) or p in (1.0, 2.0)):
         raise CertifyError("p must be one of {1, 2, inf}")
     B.check_alignment(A)
+    closed = _weiss_per_mode_closed(A, B, p)
+    if B.kind == "aminus_full" or p == 1.0:
+        value = closed
+        if B.kind != "aminus_full":
+            # the Gram at unit distances, sum_n w_n conj(b_n) b_n^T; the max keeps
+            # value >= closed_form (which one mode alone approaches) in the last bit
+            value = max(closed, float(_resolvent_norms(A, B)(np.ones((1, A.n_modes)))[0]))
+        return WeissReport(p, value, closed, 0, 0, 0, B.kind, "closed-form")
     lam = A.eigenvalues
-    re = np.geomspace(1e-6, 1e6, n_re)
-    im_half = np.geomspace(1e-6, 1e6, n_im)
-    im = np.concatenate([-im_half[::-1], [0.0], im_half])
-    pts = (re[:, None] + 1j * im[None, :]).ravel()
+    axis = math.isinf(p)
+    re = np.zeros(1) if axis else _WEISS_RE
+    # the on-spectrum guard; on the axis |l - lambda_n| >= |Re lambda_n| > 0
+    # exactly, and the guard only keeps 1 / |l - lambda_n|^2 finite
+    near = 1e-150 if axis else 1e-12
+    pts = (re[:, None] + 1j * _WEISS_IM[None, :]).ravel()
     cands = _weiss_candidates(A, p)
     allpts = np.concatenate([pts, cands])
     norms = _resolvent_norms(A, B)
     chunk = _block_rows(A.n_modes, _GRID_ENTRIES)
-    width = len(im)
+    width = len(_WEISS_IM)
     # rows the guard cannot reach: |l - lambda_n| >= r + |Re lambda_n| there
-    reach = 1e-12 * (1.0 + np.abs(pts).reshape(n_re, width).max(axis=1))
+    reach = near * (1.0 + np.abs(pts).reshape(len(re), width).max(axis=1))
     safe = re + np.min(np.abs(lam.real)) > reach
     fresh = np.ones(-(-len(allpts) // 4), dtype=bool)  # 4-point groups not yet run
     best, skipped = 0.0, 0
@@ -278,7 +318,7 @@ def weiss_check(
         nonlocal best, skipped
         blk = allpts[lo:hi]
         dist = np.abs(blk[:, None] - lam[None, :])
-        ok = dist.min(axis=1) > 1e-12 * (1.0 + np.abs(blk))
+        ok = dist.min(axis=1) > near * (1.0 + np.abs(blk))
         if not ok.all():
             skipped += int(np.sum(~ok))
             blk, dist = blk[ok], dist[ok]
@@ -300,15 +340,8 @@ def weiss_check(
     for i in np.argsort(-bounds, kind="stable"):
         if not (safe[i] and bounds[i] * (1.0 + 1e-9) < best):
             evaluate(i * width, (i + 1) * width)
-    return WeissReport(
-        p=p,
-        value=best,
-        closed_form=_weiss_per_mode_closed(A, B, p),
-        n_grid=len(pts),
-        n_candidates=len(cands),
-        skipped=skipped,
-        kind=B.kind,
-    )
+    route = "axis" if axis else "plane"
+    return WeissReport(p, best, closed, len(pts), len(cands), skipped, B.kind, route)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +477,9 @@ def counterexample_run(
     and ``S_M = sum_{m<=M} sigma`` — evaluated from these exact products, so
     arbitrarily large M costs nothing and no ``2^{m}`` ever overflows.  The
     per-column bounds and the resolvent condition are computed on the same
-    construction (the resolvent grid runs on a leading block of modes, exact
-    because the per-mode symbol value sqrt(1+k^2) is m-independent).
+    construction (the resolvent condition on a leading block of 900 modes, in
+    closed form: the diagonal form's supremum is the largest per-mode value,
+    and the per-mode symbol value sqrt(1+k^2) is m-independent).
 
     ``rows`` holds the partial sums S_m (summed in order) and ``theory`` =
     m·sigma at every m when M <= ``_DIVERGENCE_ROWS`` (4096); past that, at

@@ -460,7 +460,7 @@ def _cmd_weiss(scn, seed, modes):
         [],
         [
             f"weiss: p={scn.get('p', 'inf')} value={rep.value:.12g} "
-            f"closed-form={rep.closed_form:.12g}"
+            f"closed-form={rep.closed_form:.12g} route={rep.route}"
         ],
     )
 

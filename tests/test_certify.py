@@ -85,9 +85,15 @@ WEISS_W = np.array([1.0, 0.5, 2.0, 1.5])
 ], ids=["aminus_full", "aminus_x0", "columns", "three_columns"])
 def test_weiss_skips_a_point_on_the_spectrum_and_matches_per_point_norms(B, B_eff):
     # At p = 2 the candidate for lambda = -1e-20 + i is 1e-20 + i, 2e-20 away
-    # from the spectrum: the guard must drop it and only it.
+    # from the spectrum: the guard must drop it and only it.  The diagonal
+    # form's supremum is the closed form max_n |lambda_n| / sqrt(2 |Re lambda_n|),
+    # attained at l = |Re lambda_n| + i Im lambda_n, with no grid.
     A = DiagonalGenerator(WEISS_LAM, weights=WEISS_W)
     rep = weiss_check(A, B, 2)
+    if B.kind == "aminus_full":
+        assert rep.route == "closed-form" and rep.value == rep.closed_form
+        assert rep.value == np.max(np.abs(WEISS_LAM) / np.sqrt(2.0 * np.abs(WEISS_LAM.real)))
+        return
     assert rep.skipped == 1
     re = np.geomspace(1e-6, 1e6, 25)
     im_half = np.geomspace(1e-6, 1e6, 25)

@@ -691,6 +691,32 @@ def test_schema_valid_but_unusable_numbers_exit_1_with_their_cause(
     assert err.startswith("error: ") and cause in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("p", ["inf", 2, 1])
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        # w_n |b_n|^2 overflows and the Gram's entries cancel as inf - inf:
+        # the NaN norms were dropped and the report read value 0
+        {"generator": {"eigenvalues": [-1, -2, -3]},
+         "input_operator": {"kind": "columns",
+                            "matrix": [[1e308, -1e308], [-1e308, 1e308], [1, 1]]}},
+        # an infinite Gram entry made eigvalsh fail to converge
+        {"generator": {"eigenvalues": [[-5e-324, 1.0]]},
+         "input_operator": {"kind": "columns",
+                            "matrix": [[2.2250738585e-313, -1e308, [-0.5, -0.5]]]}},
+    ],
+    ids=["nan-gram", "eigvalsh-diverges"],
+)
+def test_weiss_squares_beyond_the_float_range_exit_1(tmp_path, capsys, scenario, p):
+    scenario = dict(scenario, p=p)
+    assert cli._validator().is_valid(json.loads(json.dumps(scenario)))
+    scn = _write(tmp_path, "s.json", scenario)
+    with np.errstate(over="ignore"):
+        assert main(["weiss", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: a squared resolvent norm is beyond the float range\n"
+
+
 def test_json_ready_refuses_nan_and_names_the_key():
     with pytest.raises(ConfigError, match="'/results/reports/1/lower'"):
         _json_ready({"reports": [{"lower": 1.0}, {"lower": float("nan")}]}, "/results")

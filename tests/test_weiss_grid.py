@@ -1,12 +1,21 @@
-"""The Weiss grid's row skip against the full grid.
+"""Each Weiss route against the old half-plane grid.
 
-``weiss_check`` evaluates the per-mode candidates first and then only the grid
-rows whose bound can still beat the best value.  Its value and guard count
-must be those of every point (``weiss_oracle.weiss_full_grid``): bit for bit
-where each norm is a matrix-vector product or a max, to 1e-15 relative where
-the Gram product of m >= 2 columns sums in another order.  Each row bound
-must dominate every norm evaluated on its row.  ``test_weiss_property.py``
-draws the same comparison over random spectra.
+``weiss_check`` takes the supremum in closed form for ``aminus_full`` (every
+p) and for p = 1, on the imaginary axis for p = oo, and on the grid with its
+row skip for p = 2 alone.  ``weiss_oracle.weiss_full_grid`` evaluates every
+point of the old grid.  Against it:
+
+* ``aminus_full``: ``value`` is ``closed_form``, at every p;
+* p = 1, finite rank: ``value`` is sqrt(lambda_max) of the dense Gram
+  sum_n w_n conj(b_n) b_n^T to 1e-14, at least ``closed_form``, and at
+  least the old grid value to 1e-15 (that grid rounds too);
+* p = oo, finite rank: ``value`` is at least the old grid value, bit for bit
+  for one column and to 1e-14 relative for m >= 2 (``eigvalsh`` rounds);
+* p = 2: ``value`` and the guard count are those of every grid point, to
+  1e-15 relative (the old grid squared distances with ``pow``).
+
+Each row bound must dominate every norm evaluated on its row.
+``test_weiss_property.py`` draws the same comparison over random spectra.
 """
 
 import math
@@ -19,7 +28,7 @@ from admlab.admissibility import InputOperator
 from admlab.certify import CertifyError, weiss_check
 from admlab.spectral import DiagonalGenerator
 from test_certify import WEISS_LAM
-from weiss_oracle import weiss_full_grid
+from weiss_oracle import _resolvent_norms, weiss_full_grid
 
 KINDS = ["aminus_full", "aminus_x0", "columns1", "columns2"]
 PS = [1.0, 2.0, math.inf]
@@ -50,19 +59,36 @@ def _bench_system(n, seed):
 
 def assert_matches_full_grid(A, B, p, kind):
     rep = weiss_check(A, B, p)
+    if kind == "aminus_full":
+        assert (rep.route, rep.n_grid, rep.n_candidates, rep.skipped) == ("closed-form", 0, 0, 0)
+        assert rep.value == rep.closed_form
+        return
     value, skipped = weiss_full_grid(A, B, p)
-    assert rep.skipped == skipped
-    if kind == "columns2":  # the Gram product sums in another order
-        assert rep.value == pytest.approx(value, rel=1e-15, abs=0.0)
+    if p == 1.0:
+        cols = B._coefficients(A)
+        gram = np.einsum("n,ni,nj->ij", A.weights, cols.conj(), cols)
+        assert rep.route == "closed-form"
+        assert rep.value == pytest.approx(
+            math.sqrt(np.linalg.eigvalsh(gram)[-1]), rel=1e-14, abs=0.0)
+        # where every |lambda_n| is below about 1e-7, the old candidates at
+        # Re l = 1e9 (1 + |lambda|) round Re l / |l - lambda_n| to 1, and the old
+        # value is the same sum rounded another way, up to a few ulps above it
+        assert rep.value >= rep.closed_form and rep.value >= value * (1.0 - 1e-15)
+    elif math.isinf(p):
+        assert rep.route == "axis"
+        assert rep.value >= (value if kind != "columns2" else value * (1.0 - 1e-14))
     else:
-        assert rep.value == value
+        assert rep.route == "plane"
+        assert rep.skipped == skipped
+        assert rep.value == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("p", PS)
 def test_guard_cases_match_the_full_grid(kind, p):
-    # a candidate 2e-20 off the spectrum, which the guard drops at p = 2 and
-    # p = inf, and a mode at -1e-8 among others
+    # a candidate 2e-20 off the spectrum, which the guard drops at p = 2 (the
+    # axis keeps i, 1e-20 off it, where the old grid dropped 1e-29 + i), and a
+    # mode at -1e-8 among others
     rng = np.random.default_rng(3)
     for lam in (WEISS_LAM, np.array([-1e-8, -1.0 + 2j, -3.0 - 1j, -40.0 + 5j, -0.3])):
         A = DiagonalGenerator(lam)
@@ -84,14 +110,16 @@ def test_a_row_the_guard_reaches_is_evaluated(p):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("p", PS)
 def test_row_bound_dominates_every_norm_on_its_row(kind, p):
-    re = np.geomspace(1e-6, 1e6, 25)
+    re = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 25)])  # the axis, then the plane
     im_half = np.geomspace(1e-6, 1e6, 25)
     im = np.concatenate([-im_half[::-1], [0.0], im_half])
     for n, seed in ((256, 1), (512, 2)):
         A, rng = _bench_system(n, seed)
         B = operator(kind, rng, n)
         bounds = certify._weiss_row_bounds(A, B, p, re)
-        norms = certify._resolvent_norms(A, B)
+        # the diagonal form's norms max_n |lambda_n| / |mu - lambda_n| come
+        # from the old code: the library takes that supremum in closed form
+        norms = (_resolvent_norms if kind == "aminus_full" else certify._resolvent_norms)(A, B)
         for r, bound in zip(re, bounds):
             dist = np.abs((r + 1j * im)[:, None] - A.eigenvalues[None, :])
             assert np.max(certify._weiss_factor(p, np.full(len(im), r)) * norms(dist)) <= bound
@@ -107,8 +135,10 @@ def test_ray_grid_rows_are_mostly_skipped(p, most, monkeypatch):
         return lambda dist: points.append(len(dist)) or norms(dist)
 
     monkeypatch.setattr(certify, "_resolvent_norms", counting)
+    # a rank-one input decaying like |lambda_n|^-2: the candidates come within
+    # 1e-9 of every row bound of the plane; the axis (p = oo) is one row
     A = DiagonalGenerator.from_ray(1.0, 1.0, math.pi / 4, 512)
-    rep = weiss_check(A, InputOperator.aminus_full(), p)
+    rep = weiss_check(A, InputOperator.aminus_x0(np.arange(1.0, 513.0) ** -3), p)
     rows = (sum(points) - rep.n_candidates) // 51  # a row spans 51 points
     assert rows <= most
 

@@ -1,4 +1,6 @@
-"""Property test of the Weiss grid's row skip against the full grid.
+"""Property test of each Weiss route against the old full grid: the closed
+forms for ``aminus_full`` and p = 1, the axis for p = oo and the plane with
+its row skip for p = 2 (``test_weiss_grid.assert_matches_full_grid``).
 
 Needs ``hypothesis`` (the ``test`` extra); the module is skipped without it.
 """

@@ -82,10 +82,12 @@ def test_working_set_stays_under_a_fixed_cap(case, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind, p", [("full", math.inf), ("x0", 2.0), ("columns2", math.inf)]
+    "kind, p", [("full", math.inf), ("x0", 2.0), ("columns2", math.inf), ("columns2", 2.0)]
 )
 def test_weiss_blocks_match_one_block(kind, p, monkeypatch):
-    A, x0, cols = _system(1024)  # 64 points a block: 36 blocks
+    # 64 points a block: 36 blocks on the plane (p = 2), 17 on the axis
+    # (p = oo); the diagonal form takes no points at all (its closed form)
+    A, x0, cols = _system(1024)
     B = _operator(kind, x0, cols)
     blocked = weiss_check(A, B, p)
     monkeypatch.setattr(certify, "_GRID_ENTRIES", 1 << 40)

@@ -1,17 +1,70 @@
-"""The full-grid reference for the Weiss check.
+"""The half-plane grid the Weiss check used to search on every route.
 
-The library evaluates the per-mode candidate points first and then only the
-grid rows whose bound can still beat the best value found.  This is the plain
-form it replaces: every grid point and every candidate, in one pass of
-fixed-size blocks.
+``weiss_check`` now takes the supremum in closed form for ``aminus_full`` and
+for p = 1, searches only the imaginary axis for p = oo, and keeps a grid with
+a row skip for p = 2 alone.  This is the plain form of the old search: every
+point of the 25 x 51 grid and every per-mode candidate, in one pass of
+fixed-size blocks.  ``_resolvent_norms`` and ``_weiss_candidates`` are kept
+here as they were, with their ``aminus_full`` and p = 1 branches, so that the
+reference does not share the library's code.
 """
 
 import math
+from typing import Callable
 
 import numpy as np
 
-from admlab.certify import _resolvent_norms, _weiss_candidates, _weiss_factor
 from admlab.signals import _GRID_ENTRIES, _block_rows
+
+_WEISS_CANDIDATES = 1000
+
+
+def _weiss_factor(p: float, re: np.ndarray) -> np.ndarray:
+    if math.isinf(p):
+        return np.ones_like(re)
+    return (p * re) ** (1.0 / p)
+
+
+def _resolvent_norms(A, B) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a points-by-modes block ``dist`` of |mu - lambda_n| to
+    ||R(mu, A_{-1}) B|| at each of its points, exact per kind; the per-mode
+    data is formed once, for every block.
+
+    For m >= 2 columns the squared norm at mu is the largest eigenvalue of
+    the m x m Gram G(mu) = sum_n w_n conj(b_n) b_n^T / |mu - lambda_n|^2,
+    taken for every point of the block by one real product with ``dist``."""
+    lam = A.eigenvalues
+    if B.kind == "aminus_full":
+        mag = np.abs(lam)
+        return lambda dist: np.max(mag / dist, axis=1)
+    cols = B._coefficients(A)
+    m = cols.shape[1]
+    if m == 1:
+        c = A.weights * np.abs(cols[:, 0]) ** 2
+        return lambda dist: np.sqrt(dist**-2 @ c)
+    outer = A.weights[:, None, None] * cols.conj()[:, :, None] * cols[:, None, :]
+    # complex entries as (re, im) float pairs: one real product for the block
+    flat = np.ascontiguousarray(outer.reshape(len(lam), m * m)).view(float)
+
+    def gram_norms(dist: np.ndarray) -> np.ndarray:
+        gram = (dist**-2 @ flat).view(complex).reshape(len(dist), m, m)
+        return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+    return gram_norms
+
+
+def _weiss_candidates(A, p: float) -> np.ndarray:
+    lam = A.eigenvalues
+    re = np.abs(lam.real)
+    if lam.size > _WEISS_CANDIDATES:
+        score = np.abs(lam) / re
+        idx = np.argpartition(-score, _WEISS_CANDIDATES - 1)[:_WEISS_CANDIDATES]
+        lam, re = lam[idx], re[idx]
+    if math.isinf(p):
+        return 1e-9 * re + 1j * lam.imag
+    if p == 1.0:
+        return 1e9 * (1.0 + np.abs(lam)) + 1j * lam.imag
+    return re + 1j * lam.imag
 
 
 def weiss_full_grid(A, B, p, n_re=25, n_im=25):
