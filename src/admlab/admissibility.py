@@ -242,6 +242,33 @@ def _left_x(A: DiagonalGenerator, coeff: np.ndarray) -> bool:
     return False
 
 
+def _run_images(A: DiagonalGenerator, runs, per_mode=False, scale=None, cols=None):
+    """Yield (image, X norm) of each run of one Horner pass, last run first.
+
+    ``runs`` lists (widths, values, starts) in layout order; they are
+    concatenated, each run's starts offset by the pieces before it, and
+    integrated in one :func:`_horner` pass (``per_mode`` and ``cols`` as
+    there), each image times ``scale`` unless that is None.  The images are
+    measured row-wise by :func:`_weighted_norms`, over blocks of about
+    ``_BLOCK_ENTRIES`` entries, bit for bit the one-vector norm; an inf norm
+    (the image left X) comes with :func:`input_map`'s warning.
+    """
+    widths, vals, starts = zip(*runs)
+    firsts = accumulate(map(len, widths[:-1]), initial=0)
+    starts = [f + s for f, run in zip(firsts, starts) for s in run]
+    images = _horner(A.eigenvalues, np.concatenate(widths), np.concatenate(vals),
+                     per_mode, starts, cols)
+    rows, block = max(1, _BLOCK_ENTRIES // A.n_modes), []
+    for q, ints in enumerate(images, 1):
+        block.append(ints if scale is None else scale * ints)
+        if len(block) == rows or q == len(starts):
+            for image, norm in zip(block, _weighted_norms(A.weights, block).tolist()):
+                if norm == math.inf:
+                    warnings.warn(_LEFT_X, stacklevel=3)
+                yield image, norm
+            block = []
+
+
 class _Stepper:
     """The mild solution of x' = Ax + Bu sampled at 0 < t_1 < ... < t_T.
 
@@ -277,11 +304,6 @@ class _Stepper:
         # last bits (3 for 9 samples, about 20 for 10^5)
         self.factors = {d: _semigroup_factors(A, d) for d in set(self.spans.tolist())}
 
-    def states(self, x0: np.ndarray, u: PiecewiseSignal, left: bool = False):
-        """Yield (x(t_j) coefficients, left X) for j = 1..T from x(0) = x0:
-        the one-path case of :meth:`paths`."""
-        return self.paths([x0], [u], left)
-
     def paths(self, x0s, us, left: bool = False):
         """Yield (x(t_j) coefficients, left X) for j = 1..T of each path
         x(0) = x0s[i] under us[i], path by path.  The inputs share one
@@ -316,20 +338,9 @@ class _Stepper:
             return
         scale, cols = _input_form(A, B, us[0])
         # the paths' windows, last path first, as the runs of one pass
-        widths, vals, starts = zip(*(u._windows(self.times) for u in reversed(us)))
-        firsts = accumulate(map(len, widths[:-1]), initial=0)
-        starts = [f + s for f, run in zip(firsts, starts) for s in run]
-        images = _horner(A.eigenvalues, np.concatenate(widths), np.concatenate(vals),
-                         us[0].per_mode, starts, cols)
-        rows, block = max(1, _BLOCK_ENTRIES // A.n_modes), []
-        for q, ints in enumerate(images, 1):
-            block.append(ints if cols is not None else scale * ints)
-            if len(block) == rows or q == len(starts):
-                for forced, norm in zip(block, _weighted_norms(A.weights, block).tolist()):
-                    if norm == math.inf:
-                        warnings.warn(_LEFT_X, stacklevel=3)
-                    yield forced, norm == math.inf
-                block = []
+        runs = [u._windows(self.times) for u in reversed(us)]
+        for forced, norm in _run_images(A, runs, us[0].per_mode, scale, cols):
+            yield forced, norm == math.inf
 
 
 def trajectory(
@@ -354,7 +365,7 @@ def trajectory(
     see :func:`input_map`), else ``X``.
     """
     _check_aligned(A, x0)
-    (x, left), = _Stepper(A, B, [t]).states(x0.coefficients, u, x0.scale == "Xm1")
+    (x, left), = _Stepper(A, B, [t]).paths([x0.coefficients], [u], x0.scale == "Xm1")
     return SpectralVector(x, "Xm1" if left else "X")
 
 
@@ -400,29 +411,6 @@ class AdmissibilityReport:
                     f"lower bound {lo} exceeds upper bound {up}{where} "
                     f"({self.space}, t={self.t})"
                 )
-
-    def to_json(self) -> dict:
-        out = {
-            "t": self.t if math.isfinite(self.t) else "inf",
-            "space": self.space,
-            "lower": self.lower,
-            "upper": self.upper if math.isfinite(self.upper) else "inf",
-            "route": self.route,
-            "lower_route": self.lower_route,
-            "n_modes": self.n_modes,
-            "routes": {
-                name: {
-                    "value": (v["value"] if math.isfinite(v["value"]) else "inf"),
-                    "reason": v["reason"],
-                }
-                for name, v in self.routes.items()
-            },
-        }
-        if self.per_column is not None:
-            out["per_column"] = {
-                key: [float(x) for x in vals] for key, vals in self.per_column.items()
-            }
-        return out
 
 
 def _upper_routes(
@@ -683,25 +671,20 @@ def _trial_norms(A: DiagonalGenerator, B: InputOperator, phi: YoungFunction, tri
     trial input u_i on its own horizon t, the last trial first.
 
     All trials are integrated in one pass of the Horner kernel, one run per
-    trial, and each image is measured as the pass yields it, so no list of
-    images is kept.  The kernel rounds per piece row and picks each piece's
-    weight rule from that piece alone, so each image is bit for bit
-    ``input_map(A, B, u_i)``, measured in X, or in X_{-1} when it left X
-    (with :func:`input_map`'s warning).  The Luxemburg norm is taken
-    of the profile cut from the breakpoints and ``|u_i|``, bit for bit that
-    of ``SampledFunction(breakpoints, |u_i|)``.
+    trial, and the images are measured a block at a time as the pass yields
+    them (:func:`_run_images`), so no list of all images is kept.  The
+    kernel rounds per piece row and picks each piece's weight rule from that
+    piece alone, so each image is bit for bit ``input_map(A, B, u_i)``,
+    measured in X, or in X_{-1} when it left X (with :func:`input_map`'s
+    warning).  The Luxemburg norm is taken of the profile cut from the
+    breakpoints and ``|u_i|``, bit for bit that of
+    ``SampledFunction(breakpoints, |u_i|)``.
     """
     widths = [np.diff(u.breakpoints) for u in trials]
-    starts = list(accumulate(map(len, widths[:-1]), initial=0))
-    scale = B._coefficients(A)[:, 0]
-    images = _horner(
-        A.eigenvalues, np.concatenate(widths),
-        np.concatenate([u.values for u in trials]), starts=starts,
-    )
-    for i, ints in zip(range(len(trials) - 1, -1, -1), images):
-        coeff = scale * ints
-        lhs = _weighted_norm(A.weights, coeff)
-        if lhs == math.inf and _left_x(A, coeff):
+    runs = [(w, u.values, [0]) for w, u in zip(widths, trials)]
+    images = _run_images(A, runs, scale=B._coefficients(A)[:, 0])
+    for i, (coeff, lhs) in zip(range(len(trials) - 1, -1, -1), images):
+        if lhs == math.inf:
             lhs = space_norm(A, SpectralVector(coeff, "Xm1"))
         u = trials[i]
         mag = SampledFunction._cut(u.breakpoints, widths[i], np.abs(u.values))

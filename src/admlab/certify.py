@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,18 +106,6 @@ class WeissReport:
     skipped: int
     kind: str
     route: str
-
-    def to_json(self) -> dict:
-        return {
-            "p": "inf" if math.isinf(self.p) else self.p,
-            "value": self.value,
-            "closed_form": self.closed_form,
-            "n_grid": self.n_grid,
-            "n_candidates": self.n_candidates,
-            "skipped": self.skipped,
-            "kind": self.kind,
-            "route": self.route,
-        }
 
 
 def _weiss_factor(p: float, re: np.ndarray) -> np.ndarray:
@@ -260,11 +248,14 @@ def weiss_check(
       margin covers the rounding of the bound and of the norms) and the
       on-spectrum guard provably cannot fire on it:
       r + min |Re lambda_n| > 1e-12 (1 + max |l|) over the row.  A row left
-      out cannot hold the maximum, so ``value`` and ``skipped`` are those of
-      every point, at O(n (candidates + 51 rows kept)).
+      out cannot hold the maximum, so the best point and ``skipped`` are
+      those of every point, at O(n (candidates + 51 rows kept)).
 
-    On the axis and the plane ``value`` is the best evaluated point, an
-    achieved lower end of the supremum.  A point within 1e-12 (1 + |l|) of
+    On the axis and the plane ``value`` is the larger of the best evaluated
+    point and ``closed_form``, each an achieved lower end of the supremum:
+    the full Gram dominates each one-mode term in the Loewner order, so
+    ``value`` >= ``closed_form`` even where the guard below skips the
+    points near a mode's peak.  A point within 1e-12 (1 + |l|) of
     the spectrum on the plane, or 1e-150 (1 + |l|) on the axis (where that
     only keeps 1 / |l - lambda_n|^2 finite), is skipped and counted in
     ``skipped``.  A squared norm beyond the float range is a
@@ -280,11 +271,10 @@ def weiss_check(
     guard drops shifts the rest of its run, which may move a later norm of
     that run in its last bit.
     """
-    if isinstance(p, str):
-        try:
-            p = math.inf if p in ("inf", "oo") else float(p)
-        except ValueError:
-            raise CertifyError("p must be one of {1, 2, inf}") from None
+    try:
+        p = math.inf if p in ("inf", "oo") else float(p)
+    except (TypeError, ValueError):
+        raise CertifyError("p must be one of {1, 2, inf}") from None
     if not (math.isinf(p) or p in (1.0, 2.0)):
         raise CertifyError("p must be one of {1, 2, inf}")
     B.check_alignment(A)
@@ -341,7 +331,8 @@ def weiss_check(
         if not (safe[i] and bounds[i] * (1.0 + 1e-9) < best):
             evaluate(i * width, (i + 1) * width)
     route = "axis" if axis else "plane"
-    return WeissReport(p, best, closed, len(pts), len(cands), skipped, B.kind, route)
+    value = max(best, closed)
+    return WeissReport(p, value, closed, len(pts), len(cands), skipped, B.kind, route)
 
 
 # ---------------------------------------------------------------------------
@@ -357,19 +348,6 @@ class SqfctReport:
     per_mode: tuple
     quad_max_rel_err: float
     convention_evidence: dict
-
-    def to_json(self) -> dict:
-        return {
-            "k_lower": self.k_lower,
-            "K_upper": self.K_upper,
-            "phi0": self.phi0,
-            "per_mode": list(self.per_mode),
-            "quad_max_rel_err": self.quad_max_rel_err,
-            "convention_evidence": {
-                key: ("inf" if math.isinf(v) else v)
-                for key, v in self.convention_evidence.items()
-            },
-        }
 
 
 def sqfct_constants(A: DiagonalGenerator) -> SqfctReport:
@@ -526,7 +504,7 @@ def counterexample_run(
         "checkpoints": cps,
         "per_column_upper": per_column,
         "per_column_uniform": True,
-        "weiss": wr.to_json(),
+        "weiss": asdict(wr),
         "n_modes_weiss": n_weiss,
         "intervals_head": table[: min(8, len(table))],
         "runtime_s": time.perf_counter() - t0,

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from dataclasses import is_dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -332,8 +333,10 @@ def emit_plotdata(outdir: Path, jobs: list[tuple[str, str, list]]) -> list[Path]
 
 
 def _json_ready(value, path: str = ""):
-    """``value`` as plain JSON data; inf becomes "inf"/"-inf", and a NaN
-    anywhere is a ConfigError naming its key path (``path`` is the prefix)."""
+    """``value`` as plain JSON data, the one place a report number is
+    formatted: inf becomes "inf"/"-inf", a NaN anywhere is a ConfigError
+    naming its key path (``path`` is the prefix), and a report dataclass
+    becomes the dict of its fields, less any that are None."""
     if isinstance(value, dict):
         return {str(k): _json_ready(v, f"{path}/{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -351,6 +354,8 @@ def _json_ready(value, path: str = ""):
         return int(value)
     if isinstance(value, complex):
         return [_json_ready(value.real, path), _json_ready(value.imag, path)]
+    if is_dataclass(value):
+        return _json_ready({k: v for k, v in vars(value).items() if v is not None}, path)
     return value
 
 
@@ -399,10 +404,10 @@ def _cmd_simulate(scn, seed, modes):
     n = int(scn.get("n_time_samples", 33))
     try:
         ts = np.linspace(0.0, horizon, n)
-    except MemoryError as exc:
+    except (MemoryError, ValueError, IndexError) as exc:  # numpy's, past any address space
         raise ConfigError(f"n_time_samples {n} does not fit in memory") from exc
     norms = [space_norm(A, x0)]
-    for t, (x, left) in zip(ts[1:], _Stepper(A, B, ts[1:]).states(x0.coefficients, u)):
+    for t, (x, left) in zip(ts[1:], _Stepper(A, B, ts[1:]).paths([x0.coefficients], [u])):
         if left:
             raise SignalError(
                 f"the state left X numerically at t = {float(t)!r} "
@@ -436,7 +441,7 @@ def _cmd_adm(scn, seed, modes):
         f"adm: t={r.t:g} lower={r.lower:.6g} upper={r.upper:.6g} route={r.route}"
         for r in reports
     ]
-    results = {"reports": [r.to_json() for r in reports]}
+    results = {"reports": reports}
     if scn.get("zero_class"):
         zreports, flags = zero_class_profile(A, B, horizons, seed=seed)
         results["zero_class"] = flags
@@ -452,11 +457,9 @@ def _cmd_adm(scn, seed, modes):
 def _cmd_weiss(scn, seed, modes):
     A = _generator(scn, "weiss")
     B = _input_operator(scn, A, "weiss")
-    p = scn.get("p", "inf")
-    p = math.inf if p == "inf" else float(p)
-    rep = weiss_check(A, B, p)
+    rep = weiss_check(A, B, scn.get("p", "inf"))
     return (
-        rep.to_json(),
+        rep,
         [],
         [
             f"weiss: p={scn.get('p', 'inf')} value={rep.value:.12g} "
@@ -468,8 +471,7 @@ def _cmd_weiss(scn, seed, modes):
 def _cmd_sqfct(scn, seed, modes):
     A = _generator(scn, "sqfct")
     rep = sqfct_constants(A)
-    results = rep.to_json()
-    results["per_mode"] = results["per_mode"][:16]  # full table lives in the CSV
+    results = dict(vars(rep), per_mode=rep.per_mode[:16])  # full table lives in the CSV
     jobs = [("sqfct.csv", "mode,integral", [range(len(rep.per_mode)), rep.per_mode])]
     line = (
         f"sqfct: k={rep.k_lower:.12g} K={rep.K_upper:.12g} "
@@ -539,10 +541,9 @@ def _cmd_shift_demo(scn, seed, modes):
     phi = _young(scn, "shift-demo")
     f = _profile(scn, "shift-demo")
     res = shift_demo(f, phi)
-    mod = res["modular"]
     line = (
         f"shift-demo: l1={res['l1']:.12g} "
-        f"modular={'inf' if math.isinf(mod) else format(mod, '.12g')} "
+        f"modular={res['modular']:.12g} "
         f"diverged={res['diverged']}"
     )
     return res, [], [line]

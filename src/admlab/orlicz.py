@@ -90,8 +90,18 @@ class Segment:
 
     def density_at(self, x: float) -> float:
         if self.kind == "power":
-            return self.c * x**self.r
+            try:
+                return self.c * x**self.r
+            except OverflowError:
+                return _scaled_power(math.log(self.c), x, self.r)
         return self.c
+
+
+def _scaled_power(log_c: float, x: float, e: float) -> float:
+    """e^log_c * x**e for x > 0, taken in logs where x**e alone overflows:
+    inf only when the product is beyond the float range too."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_c + e * math.log(x)))
 
 
 class YoungFunction:
@@ -225,7 +235,11 @@ class YoungFunction:
             hi = min(hi, y)
             if hi <= lo:
                 break
-            total += c / expo**2 * (hi**expo - lo**expo)
+            try:
+                total += c / expo**2 * (hi**expo - lo**expo)
+            except OverflowError:  # expo**2 or hi**expo alone beyond the float range
+                log_scale = math.log(c) - 2.0 * math.log(expo) + math.log1p(-(lo / hi) ** expo)
+                total += _scaled_power(log_scale, hi, expo)
             if lo > 0.0:
                 total += offset * (math.log(hi) - math.log(lo))
         return total

@@ -21,6 +21,7 @@ from admlab.admissibility import (
     zero_class_profile,
 )
 from admlab.certify import weiss_check
+from admlab.cli import _json_ready
 from admlab.orlicz import power_young
 from admlab.signals import PiecewiseSignal, mode_integrals, random_signal
 from admlab.spectral import DiagonalGenerator, SpectralVector, space_norm
@@ -196,9 +197,10 @@ def test_report_validation_and_json():
         t=math.inf, space="Linf", lower=0.5, upper=math.inf, route="none",
         lower_route="phase-search", n_modes=3,
     )
-    data = rep.to_json()
+    data = _json_ready(rep)
     assert data["t"] == "inf" and data["upper"] == "inf"
     assert data["lower"] == 0.5
+    assert "per_column" not in data
 
 
 def test_factorization_identity():

@@ -109,7 +109,10 @@ def test_weiss_skips_a_point_on_the_spectrum_and_matches_per_point_norms(B, B_ef
         op = sw * B_eff / (mu - WEISS_LAM)[:, None]
         best = max(best, math.sqrt(2.0 * mu.real) * np.linalg.norm(op, 2))
     assert skipped == 1
-    assert rep.value == pytest.approx(best, rel=1e-13)
+    # the dropped candidate sits by the peak of the mode -1e-20 + i, so the
+    # points evaluated fall short of that mode's own supremum, the floor
+    assert best < rep.closed_form
+    assert rep.value == rep.closed_form
 
 
 def test_sqfct_constants():

@@ -679,6 +679,14 @@ def _signal_values(values, matrix=None):
         ("simulate", _signal_values([[[1, 0]], 1]), "signal/values must be a list of rows"),
         ("simulate", _signal_values([[[1, 0], 2], [3]], [[1, 0], [0, 1]]),
          "signal/values has rows of lengths [1, 2]"),
+        # 1e12 * 90**1e12 is beyond the float range, and far above the next
+        # segment's density 246.25 at 90: the density decreases
+        pytest.param("orlicz-norm", {
+            "young": {"segments": [
+                {"x0": 0, "kind": "power", "c": 1e12, "r": 1e12},
+                {"x0": 90.0, "kind": "power", "c": 246.25, "r": 1e-308}]},
+            "profile": {"kind": "samples", "edges": [0.0, 1.0], "values": [1.0]},
+        }, "density must be nondecreasing", id="young-density-overflow"),
     ],
 )
 def test_schema_valid_but_unusable_numbers_exit_1_with_their_cause(
@@ -773,6 +781,12 @@ def test_probe_boundedness_takes_a_weighted_probe_rule(tmp_path):
     # 7 pieces of 10**17 random channels need 5.6 EB
     pytest.param("simulate-columns", "signal/channels", 10**17,
                  f"n_pieces 7 x channels {10**17}", id="random-channels"),
+    # numpy refuses 2^62 float64 samples with a ValueError, and a count past
+    # the int64 range with an IndexError
+    pytest.param("simulate-columns", "n_time_samples", 2**62,
+                 f"n_time_samples {2**62}", id="samples-2^62"),
+    pytest.param("simulate-columns", "n_time_samples", 2**63 + 5,
+                 f"n_time_samples {2**63 + 5}", id="samples-2^63+5"),
 ])
 def test_sizes_beyond_memory_exit_1_naming_the_size(tmp_path, capsys, golden, key, value, cause):
     # every size is beyond any address space, so numpy refuses it at once
@@ -787,3 +801,18 @@ def test_sizes_beyond_memory_exit_1_naming_the_size(tmp_path, capsys, golden, ke
     command = golden.split("-")[0]
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {cause} does not fit in memory\n"
+
+
+def test_a_power_young_tail_integral_past_the_float_range_prints_the_norm(tmp_path):
+    # Phi(x) = 1e-308 x**1e300 is 1e-308 at x = 1 and inf past it, so the
+    # norm of f = 1 (with its tail) is 1; the tail integral overflows in
+    # expo**2 on the way
+    scn = _write(tmp_path, "norm.json", {
+        "young": {"power": 1e300, "scale": 1e-308},
+        "profile": {"kind": "samples", "edges": [0, 1], "values": [1], "tail_rate": 1e308},
+    })
+    out = tmp_path / "out"
+    assert main(["orlicz-norm", "--scenario", scn, "--out", str(out), "--quiet"]) == 0
+    res = json.loads((out / "orlicz-norm.report.json").read_text())["results"]
+    assert res["luxemburg_norm"] == pytest.approx(1.0, rel=1e-10)
+    assert res["modular_at_norm"] <= 1.0

@@ -131,7 +131,7 @@ def test_a_generic_spectrum_integrates_without_h(monkeypatch):
     A = DiagonalGenerator(lams)
     B = InputOperator.columns(rng.normal(size=(n, 2)) + 0j)
     u = random_signal(rng, 2.0, 7, n_channels=2)
-    list(_Stepper(A, B, [0.5, 1.0, 2.0]).states(np.zeros(n, dtype=complex), u))
+    list(_Stepper(A, B, [0.5, 1.0, 2.0]).paths([np.zeros(n, dtype=complex)], [u]))
     assert calls == []
     # a zero eigenvalue takes the Δ·h(λΔ) weight, for its own mode only
     mode_integrals(np.append(lams, 0.0), u)
@@ -188,7 +188,7 @@ def test_two_column_paths_allocate_no_n_by_m_accumulator(monkeypatch):
     x0 = SpectralVector(np.zeros(n, dtype=complex))
     monkeypatch.setattr(np, "zeros", recording)
     x = trajectory(A, B, x0, u, 2.5)
-    states = list(_Stepper(A, B, [1.0, 2.0, 3.0]).states(x0.coefficients, u))
+    states = list(_Stepper(A, B, [1.0, 2.0, 3.0]).paths([x0.coefficients], [u]))
     monkeypatch.undo()
     assert shapes and all(s == (n,) for s in shapes)
     assert x.coefficients.shape == (n,)

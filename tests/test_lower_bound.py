@@ -20,9 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admlab import signals
-from admlab.admissibility import InputOperator, _chain_lower, linfty_bounds
-from admlab.signals import _grid_grams, _phase_search
-from admlab.spectral import DiagonalGenerator
+from admlab.admissibility import InputOperator, _chain_lower, input_map, linfty_bounds
+from admlab.signals import PiecewiseSignal, _grid_grams, _phase_search
+from admlab.spectral import DiagonalGenerator, space_norm
 from dense_lower import (
     chain_lower_loop,
     dense_grams,
@@ -162,6 +162,36 @@ def test_worst_case_phases_witness_is_achievable(seed, n, K, real_field):
     state = b * (E @ u.values)
     achieved = math.sqrt(float(w @ np.abs(state) ** 2))
     assert achieved == pytest.approx(val, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    K=st.integers(1, 16),
+    m=st.integers(0, 3),
+    t=st.floats(0.05, 20.0),
+)
+def test_linfty_lower_bound_is_reached_by_its_witness(seed, n, K, m, t):
+    # m = 0 is the rank-one form A_{-1} x0, else m columns.  The best
+    # column's phases, rebuilt at linfty_bounds' seed (seed 0 + column),
+    # drive that column alone on the uniform grid of K pieces
+    rng = np.random.default_rng(seed)
+    A = DiagonalGenerator(_spectrum(rng, n), weights=rng.uniform(0.5, 2.0, n))
+    if m == 0:
+        B = InputOperator.aminus_x0(_columns(rng, n, 1)[:, 0])
+    else:
+        B = InputOperator.columns(_columns(rng, n, m))
+    rep = linfty_bounds(A, B, t, n_pieces=K)
+    j = int(np.argmax(rep.per_column["lower"]))
+    grams = _grid_grams(A.eigenvalues, A.weights, B._coefficients(A), t, K)
+    v, value = _phase_search(grams[j], False, 8, 200, j)
+    assert value == rep.lower
+    assert np.allclose(np.abs(v), 1.0, rtol=0.0, atol=1e-15)
+    values = v if m == 0 else v[:, None] * np.eye(m)[j]
+    u = PiecewiseSignal(np.linspace(0.0, t, K + 1), values)
+    achieved = space_norm(A, input_map(A, B, u, t))
+    assert achieved == pytest.approx(rep.lower, rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

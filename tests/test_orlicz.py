@@ -493,3 +493,16 @@ def test_scaled_scales_the_sup_and_the_l1_norm():
     g = f.scaled(3.0)
     assert g.sup_norm() == pytest.approx(3.0)
     assert g.l1() == pytest.approx(3.0 * f.l1(), rel=1e-14)
+
+
+def test_powers_beyond_the_float_range_are_taken_in_logs():
+    # 100**200 overflows while the density and the tail integral of
+    # 1e-300 x**200 do not: 1e-300 * 200 * 100**199 = 2e100 and
+    # integral_0^100 1e-300 v**199 dv = 5e97
+    phi = power_young(200.0, 1e-300)
+    (seg,) = phi.segments
+    assert seg.density_at(100.0) == pytest.approx(2e100, rel=1e-12)
+    assert phi.phi_over_x_integral(100.0) == pytest.approx(5e97, rel=1e-12)
+    # past the float range they are inf
+    assert seg.density_at(1e4) == math.inf
+    assert phi.phi_over_x_integral(1e4) == math.inf

@@ -189,7 +189,7 @@ def test_stepper_states_are_the_chained_trajectories_bit_for_bit(
     # a sample horizon at or short of the signal's
     times = _sample_times(rng, u, signal_horizon * cut, n_times)
     x0 = SpectralVector(rng.normal(size=n) + 1j * rng.normal(size=n))
-    got = list(_Stepper(A, B, times).states(x0.coefficients, u))
+    got = list(_Stepper(A, B, times).paths([x0.coefficients], [u]))
     assert len(got) == len(times)
     x, prev, chained = x0, 0.0, []
     for t, (state, left) in zip(times, got):
@@ -256,7 +256,7 @@ def test_stepper_memory_does_not_grow_with_the_sample_count():
     x0 = np.zeros(n, dtype=complex)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in stepper.states(x0, u))
+        count = sum(1 for _ in stepper.paths([x0], [u]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,8 +11,9 @@ point of the old grid.  Against it:
   least the old grid value to 1e-15 (that grid rounds too);
 * p = oo, finite rank: ``value`` is at least the old grid value, bit for bit
   for one column and to 1e-14 relative for m >= 2 (``eigvalsh`` rounds);
-* p = 2: ``value`` and the guard count are those of every grid point, to
-  1e-15 relative (the old grid squared distances with ``pow``).
+* p = 2: the guard count is that of every grid point, and ``value`` the
+  larger of their best and ``closed_form``, to 1e-15 relative (the old grid
+  squared distances with ``pow``).
 
 Each row bound must dominate every norm evaluated on its row.
 ``test_weiss_property.py`` draws the same comparison over random spectra.
@@ -80,7 +81,7 @@ def assert_matches_full_grid(A, B, p, kind):
     else:
         assert rep.route == "plane"
         assert rep.skipped == skipped
-        assert rep.value == pytest.approx(value, rel=1e-15, abs=0.0)
+        assert rep.value == pytest.approx(max(value, rep.closed_form), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -148,3 +149,15 @@ def test_p_that_is_not_a_number_is_named():
     for p in ("abc", "nan", 3.0):
         with pytest.raises(CertifyError, match=r"p must be one of \{1, 2, inf\}"):
             weiss_check(A, InputOperator.aminus_full(), p)
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_value_is_at_least_the_closed_form_where_the_guard_skips_a_peak(p):
+    # the mode -1e-155 + i peaks within the guard's reach of both of its
+    # points, i on the axis and 1e-155 + i on the plane, so the points
+    # evaluated read about 1, far below that mode's own supremum
+    A = DiagonalGenerator([-1e-155 + 1j, -1.0])
+    rep = weiss_check(A, InputOperator.columns([[1e-10], [1.0]]), p)
+    assert rep.skipped >= 1
+    assert rep.closed_form > 1e60
+    assert rep.value == rep.closed_form
