@@ -242,7 +242,7 @@ def _left_x(A: DiagonalGenerator, coeff: np.ndarray) -> bool:
     return False
 
 
-def _run_images(A: DiagonalGenerator, runs, per_mode=False, scale=None, cols=None):
+def _run_images(A: DiagonalGenerator, runs, stacklevel, per_mode=False, scale=None, cols=None):
     """Yield (image, X norm) of each run of one Horner pass, last run first.
 
     ``runs`` lists (widths, values, starts) in layout order; they are
@@ -251,7 +251,8 @@ def _run_images(A: DiagonalGenerator, runs, per_mode=False, scale=None, cols=Non
     there), each image times ``scale`` unless that is None.  The images are
     measured row-wise by :func:`_weighted_norms`, over blocks of about
     ``_BLOCK_ENTRIES`` entries, bit for bit the one-vector norm; an inf norm
-    (the image left X) comes with :func:`input_map`'s warning.
+    (the image left X) comes with :func:`input_map`'s warning, issued
+    ``stacklevel`` frames up from this generator.
     """
     widths, vals, starts = zip(*runs)
     firsts = accumulate(map(len, widths[:-1]), initial=0)
@@ -264,7 +265,7 @@ def _run_images(A: DiagonalGenerator, runs, per_mode=False, scale=None, cols=Non
         if len(block) == rows or q == len(starts):
             for image, norm in zip(block, _weighted_norms(A.weights, block).tolist()):
                 if norm == math.inf:
-                    warnings.warn(_LEFT_X, stacklevel=3)
+                    warnings.warn(_LEFT_X, stacklevel=stacklevel)
                 yield image, norm
             block = []
 
@@ -339,7 +340,8 @@ class _Stepper:
         scale, cols = _input_form(A, B, us[0])
         # the paths' windows, last path first, as the runs of one pass
         runs = [u._windows(self.times) for u in reversed(us)]
-        for forced, norm in _run_images(A, runs, us[0].per_mode, scale, cols):
+        # the warning names the caller of paths()
+        for forced, norm in _run_images(A, runs, 4, us[0].per_mode, scale, cols):
             yield forced, norm == math.inf
 
 
@@ -682,7 +684,7 @@ def _trial_norms(A: DiagonalGenerator, B: InputOperator, phi: YoungFunction, tri
     """
     widths = [np.diff(u.breakpoints) for u in trials]
     runs = [(w, u.values, [0]) for w, u in zip(widths, trials)]
-    images = _run_images(A, runs, scale=B._coefficients(A)[:, 0])
+    images = _run_images(A, runs, 3, scale=B._coefficients(A)[:, 0])
     for i, (coeff, lhs) in zip(range(len(trials) - 1, -1, -1), images):
         if lhs == math.inf:
             lhs = space_norm(A, SpectralVector(coeff, "Xm1"))

@@ -70,18 +70,20 @@ def test_weiss_candidate_points_reach_tiny_modes():
 
 WEISS_LAM = np.array([-1e-20 + 1j, -1.0, -2.0 + 3j, -0.5 - 0.7j])
 WEISS_W = np.array([1.0, 0.5, 2.0, 1.5])
+# the input rows of the finite-rank cases; row 0, at the mode -1e-20 + i,
+# carries about 1e-12, so that mode's own supremum |b_0| / sqrt(2e-20) stays
+# below the best grid point and ``value`` is the grid's, not the floor's
+WEISS_X0 = np.array([1e-12, 0.5j, -0.3, 0.2 + 0.1j])
+WEISS_COLS = np.array([[1e-12, 0.5e-12, -2e-12j], [0.2j, 1, 0.1], [0.3, -0.4, 1 + 1j],
+                       [1, 1j, 0.5]])
 
 
 @pytest.mark.parametrize("B, B_eff", [
     # B_eff maps an orthonormal input basis to mode coefficients
     (InputOperator.aminus_full(), np.diag(WEISS_LAM / np.sqrt(WEISS_W))),
-    (InputOperator.aminus_x0([1.0, 0.5j, -0.3, 0.2 + 0.1j]),
-     (WEISS_LAM * np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j]))[:, None]),
-    (InputOperator.columns(np.array([[1, 0.5], [0.2j, 1], [0.3, -0.4], [1, 1j]])),
-     np.array([[1, 0.5], [0.2j, 1], [0.3, -0.4], [1, 1j]])),
-    (InputOperator.columns(np.array([[1, 0.5, -2j], [0.2j, 1, 0.1], [0.3, -0.4, 1 + 1j],
-                                     [1, 1j, 0.5]])),
-     np.array([[1, 0.5, -2j], [0.2j, 1, 0.1], [0.3, -0.4, 1 + 1j], [1, 1j, 0.5]])),
+    (InputOperator.aminus_x0(WEISS_X0), (WEISS_LAM * WEISS_X0)[:, None]),
+    (InputOperator.columns(WEISS_COLS[:, :2]), WEISS_COLS[:, :2]),
+    (InputOperator.columns(WEISS_COLS), WEISS_COLS),
 ], ids=["aminus_full", "aminus_x0", "columns", "three_columns"])
 def test_weiss_skips_a_point_on_the_spectrum_and_matches_per_point_norms(B, B_eff):
     # At p = 2 the candidate for lambda = -1e-20 + i is 1e-20 + i, 2e-20 away
@@ -109,10 +111,8 @@ def test_weiss_skips_a_point_on_the_spectrum_and_matches_per_point_norms(B, B_ef
         op = sw * B_eff / (mu - WEISS_LAM)[:, None]
         best = max(best, math.sqrt(2.0 * mu.real) * np.linalg.norm(op, 2))
     assert skipped == 1
-    # the dropped candidate sits by the peak of the mode -1e-20 + i, so the
-    # points evaluated fall short of that mode's own supremum, the floor
-    assert best < rep.closed_form
-    assert rep.value == rep.closed_form
+    assert best > rep.closed_form
+    assert rep.value == pytest.approx(best, rel=1e-13)
 
 
 def test_sqfct_constants():
@@ -290,10 +290,12 @@ def test_envelope_counts_a_state_outside_x_as_a_violation(monkeypatch):
         return norms(factor, rows)
 
     monkeypatch.setattr(certify, "_weighted_norms", weighted_norms)
-    with pytest.warns(UserWarning, match="left X numerically"):
+    with pytest.warns(UserWarning, match="left X numerically") as caught:
         max_ratio, violations = _envelope_trials(
             A, B, lambda u, times: lambda j: 1.0, n_trials=2, horizon=1.0, seed=0,
             n_times=3)
+    # the warning names the envelope, the caller of the stepper
+    assert {w.filename for w in caught} == {certify.__file__}
     assert sum(measured_rows) == 0, "took the norm of a state outside X"
     assert max_ratio == math.inf
     assert len(violations) == 6

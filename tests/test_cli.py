@@ -631,8 +631,9 @@ def test_simulate_exits_1_when_the_state_leaves_x(tmp_path, capsys):
         "n_time_samples": 5,
     })
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="left X numerically"):
+    with pytest.warns(UserWarning, match="left X numerically") as caught:
         assert main(["simulate", "--scenario", scn, "--out", str(out)]) == 1
+    assert {w.filename for w in caught} == {cli.__file__}
     err = capsys.readouterr().err
     assert err == (
         "error: the state left X numerically at t = 0.25 under the piecewise signal\n")
@@ -801,6 +802,22 @@ def test_sizes_beyond_memory_exit_1_naming_the_size(tmp_path, capsys, golden, ke
     command = golden.split("-")[0]
     assert main([command, "--scenario", scn, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {cause} does not fit in memory\n"
+
+
+def test_a_density_whose_power_alone_overflows_is_accepted(tmp_path):
+    # 1e-300 * 100**200 = 1e100 lies below the next segment's 3e100 although
+    # 100**200 alone overflows: the density is nondecreasing, and only a
+    # power taken in logs sees it.  Phi(x) = 1e-300 x**201 / 201 below 100,
+    # so the norm of f = 1 on [0, 1] is (201e300)**(-1/201).
+    scn = _write(tmp_path, "norm.json", {
+        "young": {"segments": [{"x0": 0, "kind": "power", "c": 1e-300, "r": 200},
+                               {"x0": 100.0, "kind": "const", "c": 3e100}]},
+        "profile": {"kind": "samples", "edges": [0, 1], "values": [1]},
+    })
+    out = tmp_path / "out"
+    assert main(["orlicz-norm", "--scenario", scn, "--out", str(out), "--quiet"]) == 0
+    res = json.loads((out / "orlicz-norm.report.json").read_text())["results"]
+    assert res["luxemburg_norm"] == pytest.approx(201e300 ** (-1 / 201), rel=1e-10)
 
 
 def test_a_power_young_tail_integral_past_the_float_range_prints_the_norm(tmp_path):

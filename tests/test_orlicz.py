@@ -498,7 +498,9 @@ def test_scaled_scales_the_sup_and_the_l1_norm():
 def test_powers_beyond_the_float_range_are_taken_in_logs():
     # 100**200 overflows while the density and the tail integral of
     # 1e-300 x**200 do not: 1e-300 * 200 * 100**199 = 2e100 and
-    # integral_0^100 1e-300 v**199 dv = 5e97
+    # integral_0^100 1e-300 v**199 dv = 5e97.  Read as inf, such a density
+    # would fail the nondecreasing check of a valid Young function
+    # (test_cli's test_a_density_whose_power_alone_overflows_is_accepted).
     phi = power_young(200.0, 1e-300)
     (seg,) = phi.segments
     assert seg.density_at(100.0) == pytest.approx(2e100, rel=1e-12)
