@@ -415,16 +415,40 @@ class AdmissibilityReport:
                 )
 
 
-def _upper_routes(
-    A: DiagonalGenerator, B: InputOperator, t: float
-) -> tuple[dict, np.ndarray]:
-    """Upper routes for ||Phi_t|| at a horizon t (finite or ``math.inf``).
+@dataclass(frozen=True)
+class _RouteTable:
+    """The upper-route table of one (A, B), less the horizon: ``routes`` and
+    ``per_column`` hold every horizon-uniform route and the best per-column
+    constant among them, and ``kernel`` the kernel-L1 constants of bounded
+    columns, (||W^{1/2} B||_HS, the per-column norms, delta), else None.
+    :meth:`at` completes it at a horizon in O(m)."""
 
-    Returns every route with its value or the reason it does not apply, and
-    the best per-column upper bound.  Factorization and H-infty multiplier are
-    horizon-uniform (per-column constants add over the channels); the kernel
-    route ``integral_0^t ||T(s)B|| ds`` exists for bounded columns only.
-    Column j's factorization constant is 2 K2 ||f_j||_{L2(0,oo;X)}, f_j(s) =
+    routes: dict
+    per_column: np.ndarray
+    kernel: tuple[float, np.ndarray, float] | None
+
+    def at(self, t: float) -> tuple[dict, np.ndarray]:
+        """Every route at the horizon t (finite or ``math.inf``) with its
+        value or the reason it does not apply, and the best per-column upper
+        bound.  The kernel route ``integral_0^t ||T(s)B|| ds`` is its
+        constant times reach(t)/delta, reach(t) = 1 - e^{-delta t}."""
+        routes = {k: dict(v) for k, v in self.routes.items()}
+        if self.kernel is None:
+            return routes, self.per_column
+        hs, cols, delta = self.kernel
+        reach = -math.expm1(-delta * t)  # delta * integral_0^t e^{-delta s} ds, 1 at inf
+        routes["kernel-L1"] = {"value": hs * reach / delta, "reason": None}
+        return routes, np.minimum(self.per_column, cols * reach / delta)
+
+
+def _upper_routes(A: DiagonalGenerator, B: InputOperator) -> _RouteTable:
+    """The upper-route table of ||Phi_t|| for every horizon t, formed once
+    per (A, B) in O(n·m).
+
+    Factorization and H-infty multiplier are horizon-uniform (per-column
+    constants add over the channels); the kernel route
+    ``integral_0^t ||T(s)B|| ds`` exists for bounded columns only.  Column
+    j's factorization constant is 2 K2 ||f_j||_{L2(0,oo;X)}, f_j(s) =
     (-A)^{1/2} T(s) A^{-1} b_j, and its H-infty constant ||A_{-1}^{-1} b_j||_X
     / cos(sector angle); both read the preimages A_{-1}^{-1} b_j, which are
     the unit vectors e_n for the full diagonal.
@@ -453,7 +477,7 @@ def _upper_routes(
                 "integrable uniformly at s = 0",
             },
         }
-        return routes, per_column
+        return _RouteTable(routes, per_column, None)
     routes = {
         "factorization": {"value": float(np.sum(fac)), "reason": None},
         "hinf-multiplier": {"value": float(np.sum(hinf)), "reason": None},
@@ -464,13 +488,10 @@ def _upper_routes(
             "reason": "||T(s) A_{-1} x0|| is not integrable at s = 0 for "
             "x0 outside the domain of A",
         }
-        return routes, per_column
+        return _RouteTable(routes, per_column, None)
     hs = math.sqrt(float(A.weights @ np.sum(np.abs(B.data) ** 2, axis=1)))
-    delta = A.delta
-    reach = -math.expm1(-delta * t)  # delta * integral_0^t e^{-delta s} ds, 1 at inf
-    routes["kernel-L1"] = {"value": hs * reach / delta, "reason": None}
-    kernel = np.sqrt(A.weights @ np.abs(B.data) ** 2) * reach / delta
-    return routes, np.minimum(per_column, kernel)
+    cols = np.sqrt(A.weights @ np.abs(B.data) ** 2)
+    return _RouteTable(routes, per_column, (hs, cols, A.delta))
 
 
 def _best_route(routes: dict) -> tuple[str, float]:
@@ -510,42 +531,58 @@ def _chain_lower(A: DiagonalGenerator, t: float) -> float:
     return float(math.sqrt(float(np.sum(summands))))
 
 
-def _lower_bound(
+def _lower_bounds(
     A: DiagonalGenerator,
     B: InputOperator,
-    t: float,
+    ts: list[float],
     n_pieces: int,
     seed: int,
     restarts: int,
     iters: int,
-) -> tuple[float, str, list[float] | None]:
-    """Achievable lower bound on ||Phi_t||: the closed-form probe and chain
-    for the full diagonal, else the best column's phase search over K =
-    ``n_pieces`` equal pieces.
+) -> list[tuple[float, str, list[float] | None]]:
+    """Achievable lower bounds on ||Phi_t|| at every horizon of ``ts``: the
+    closed-form probe and chain for the full diagonal, else the best
+    column's phase search over K = ``n_pieces`` equal pieces.
 
     The phase search runs on each column's Gram from
     :func:`signals._grid_grams`, which the uniform grid makes a sum of
-    powers: O(n) exponentials where the dense n×K matrix took O(n·K), and one
-    real product per block of modes for every column at once, O(n·m·K²)
-    time at most.  Each search runs its restarts as one block, O(iters)
-    Python steps where one restart at a time took O(restarts·iters).
+    powers: O(n) exponentials where the dense n×K matrix took O(n·K), and
+    one real product per block of modes for every column at once, O(n·m·K²)
+    time at most.  The Grams of every horizon and column, H·m of them, are
+    searched as one stack, column j from seed ``seed + j``: O(iters) Python
+    steps per call, where one search per horizon and column took
+    O(H·m·iters).  A stack holds whole horizons and at most about
+    ``_GRID_ENTRIES`` Gram entries, or one horizon where m·K² is more (one
+    stack up to 85 three-column horizons at K = 16), so the Grams held at a
+    time do not grow with the number of horizons.
     """
     lam = A.eigenvalues
     if B.kind == "aminus_full":
-        probe = float(np.max(np.abs(_expm1(lam * t))))
-        chain = _chain_lower(A, t)
-        if chain > probe:
-            return chain, "closed-form(chain)", None
-        return probe, "closed-form(probe)", None
-    try:
-        grams = _grid_grams(lam, A.weights, B._coefficients(A), t, n_pieces)
-    except (MemoryError, ValueError) as exc:  # numpy's ValueError: beyond any address space
-        raise AdmissibilityError(f"n_pieces {n_pieces} does not fit in memory") from exc
-    vals = [
-        _phase_search(gram, False, restarts, iters, seed + j)[1]
-        for j, gram in enumerate(grams)
-    ]
-    return max(vals), "phase-search", vals
+        out = []
+        for t in ts:
+            probe = float(np.max(np.abs(_expm1(lam * t))))
+            chain = _chain_lower(A, t)
+            if chain > probe:
+                out.append((chain, "closed-form(chain)", None))
+            else:
+                out.append((probe, "closed-form(probe)", None))
+        return out
+    cols = B._coefficients(A)
+    m = cols.shape[1]
+    step = max(1, _GRID_ENTRIES // (m * n_pieces * n_pieces))  # horizons a stack
+    out = []
+    for i in range(0, len(ts), step):
+        group = ts[i : i + step]
+        try:
+            grams = np.concatenate(
+                [_grid_grams(lam, A.weights, cols, t, n_pieces) for t in group]
+            )
+        except (MemoryError, ValueError) as exc:  # numpy's ValueError: beyond any address space
+            raise AdmissibilityError(f"n_pieces {n_pieces} does not fit in memory") from exc
+        seeds = [seed + j for _ in group for j in range(m)]
+        vals = _phase_search(grams, False, restarts, iters, seeds)[1]
+        out += [(max(row), "phase-search", row) for row in vals.reshape(-1, m).tolist()]
+    return out
 
 
 def _check_horizon(t) -> None:
@@ -557,6 +594,46 @@ def _check_horizon(t) -> None:
         )
     if not 0.0 < t < math.inf:
         raise AdmissibilityError(f"horizon must be finite and positive, got {t!r}")
+
+
+def _linfty_reports(
+    A: DiagonalGenerator,
+    B: InputOperator,
+    ts: list[float],
+    n_pieces: int,
+    seed: int,
+    restarts: int = 8,
+    iters: int = 200,
+) -> tuple[list[AdmissibilityReport], _RouteTable]:
+    """:func:`linfty_bounds` at every horizon of ``ts``, and the route table
+    they share.
+
+    The horizon-uniform routes are formed once (O(n·m), then O(m) per
+    horizon), and the lower bounds of every horizon come from one stacked
+    phase search (:func:`_lower_bounds`).  Each report equals the one
+    :func:`linfty_bounds` gives at its horizon.
+    """
+    for t in ts:
+        _check_horizon(t)
+    if isinstance(n_pieces, bool) or not (
+        isinstance(n_pieces, (int, np.integer)) and n_pieces >= 1
+    ):
+        raise AdmissibilityError(f"n_pieces must be an integer >= 1, got {n_pieces!r}")
+    table = _upper_routes(A, B)
+    lows = _lower_bounds(A, B, ts, n_pieces, seed, restarts, iters)
+    reports = []
+    for t, (lower, lower_route, col_lows) in zip(ts, lows):
+        routes, col_uppers = table.at(t)
+        route, upper = _best_route(routes)
+        per_column = {"upper": col_uppers.tolist()}
+        if col_lows is not None:
+            per_column["lower"] = col_lows
+        reports.append(AdmissibilityReport(
+            t=t, space="Linf", lower=lower, upper=upper, route=route,
+            lower_route=lower_route, n_modes=A.n_modes, routes=routes,
+            per_column=per_column,
+        ))
+    return reports, table
 
 
 def linfty_bounds(
@@ -582,35 +659,14 @@ def linfty_bounds(
     pieces (``restarts`` starts, at most ``iters`` steps each), or closed-form
     probe and chain inputs for the full diagonal.  It costs O(n) exponentials
     (not O(n·K)), one real product per block of modes for all m columns, and
-    O(iters) Python steps per column (not O(restarts·iters)).  ``t`` must be
-    finite and positive (:func:`infinite_time_sup` takes the supremum), and
-    ``n_pieces`` an integer >= 1.
+    one stacked search of the m column Grams, O(iters) Python steps (not
+    O(m·restarts·iters)).  This is the one-horizon case of the driver that
+    :func:`infinite_time_sup` and :func:`zero_class_profile` run once over
+    all their horizons.  ``t`` must be finite and positive
+    (:func:`infinite_time_sup` takes the supremum), and ``n_pieces`` an
+    integer >= 1.
     """
-    _check_horizon(t)
-    if isinstance(n_pieces, bool) or not (
-        isinstance(n_pieces, (int, np.integer)) and n_pieces >= 1
-    ):
-        raise AdmissibilityError(f"n_pieces must be an integer >= 1, got {n_pieces!r}")
-    B.check_alignment(A)
-    routes, col_uppers = _upper_routes(A, B, t)
-    route, upper = _best_route(routes)
-    per_column = {"upper": col_uppers.tolist()}
-    lower, lower_route, col_lows = _lower_bound(
-        A, B, t, n_pieces, seed, restarts, iters
-    )
-    if col_lows is not None:
-        per_column["lower"] = col_lows
-    return AdmissibilityReport(
-        t=t,
-        space="Linf",
-        lower=lower,
-        upper=upper,
-        route=route,
-        lower_route=lower_route,
-        n_modes=A.n_modes,
-        routes=routes,
-        per_column=per_column,
-    )
+    return _linfty_reports(A, B, [t], n_pieces, seed, restarts, iters)[0][0]
 
 
 def factorization_check(
@@ -959,14 +1015,10 @@ def infinite_time_sup(
         horizons = list(horizons)
         if not horizons:
             raise AdmissibilityError("the Linf supremum needs at least one horizon")
-        for t in horizons:
-            _check_horizon(t)
-        reports = [
-            linfty_bounds(A, B, t, n_pieces=n_pieces, seed=seed) for t in horizons
-        ]
+        reports, table = _linfty_reports(A, B, horizons, n_pieces, seed)
         lower = max(r.lower for r in reports)
         lower_route = max(reports, key=lambda r: r.lower).lower_route
-        routes, col_uppers = _upper_routes(A, B, math.inf)
+        routes, col_uppers = table.at(math.inf)
         route, upper = _best_route(routes)
         per_column = {"upper": col_uppers.tolist()}
         if "lower" in reports[0].per_column:
@@ -1014,12 +1066,7 @@ def zero_class_profile(
     ts = sorted(float(t) for t in t_grid)
     if not ts:
         raise AdmissibilityError("need a positive horizon grid")
-    for t in ts:
-        _check_horizon(t)
-    reports = [
-        linfty_bounds(A, B, t, n_pieces=n_pieces, seed=seed, restarts=4, iters=80)
-        for t in ts
-    ]
+    reports = _linfty_reports(A, B, ts, n_pieces, seed, restarts=4, iters=80)[0]
     lowers = [r.lower for r in reports]
     uppers = [r.upper for r in reports]
     finite_uppers = all(math.isfinite(u) for u in uppers)

@@ -123,9 +123,24 @@ def _inverse_squares(dist: np.ndarray) -> np.ndarray:
     return np.divide(1.0, sq, out=sq)
 
 
-def _check_finite(squares: np.ndarray) -> None:
-    if not np.isfinite(squares).all():
+def _check_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
         raise CertifyError("a squared resolvent norm is beyond the float range")
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a 2-D array.  Only the rows whose squares
+    overflow are retaken, divided by their largest entry and scaled back, so
+    a norm is inf only where it is beyond the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.linalg.norm(rows, axis=1)
+        bad = np.isinf(out)
+        if bad.any():
+            big = rows[bad]
+            top = np.maximum(np.abs(big.real).max(axis=1), np.abs(big.imag).max(axis=1))
+            retaken = top * np.linalg.norm(big / top[:, None], axis=1)
+            out[bad] = np.where(np.isinf(top), np.inf, retaken)  # an inf entry stays inf
+    return out
 
 
 def _resolvent_norms(
@@ -138,30 +153,49 @@ def _resolvent_norms(
     For m >= 2 columns the squared norm at mu is the largest eigenvalue of
     the m x m Gram G(mu) = sum_n w_n conj(b_n) b_n^T / |mu - lambda_n|^2,
     taken for every point of the block by one real product with ``dist``.
-    A squared norm or Gram entry beyond the float range (the input's rows
-    overflow when squared) is a :class:`CertifyError`, not a NaN or an
-    eigensolver failure."""
+    Where the squares overflow (the input's rows, or their sums), the block
+    is retaken on the rows divided by the largest row norm
+    sqrt(w_n) ||b_n||, and its norms scaled back.  A norm beyond the float
+    range is a :class:`CertifyError`, not a NaN or an eigensolver failure."""
     cols = B._coefficients(A)
     m = cols.shape[1]
-    if m == 1:
-        c = A.weights * np.abs(cols[:, 0]) ** 2
 
-        def norms(dist: np.ndarray) -> np.ndarray:
-            squares = _inverse_squares(dist) @ c
-            _check_finite(squares)
-            return np.sqrt(squares)
+    def data(rows: np.ndarray) -> np.ndarray:
+        """w_n |b_n|^2, or the Gram terms w_n conj(b_n) b_n^T as (re, im) float
+        pairs (one real product for the block)."""
+        if m == 1:
+            return A.weights * np.abs(rows[:, 0]) ** 2
+        outer = A.weights[:, None, None] * rows.conj()[:, :, None] * rows[:, None, :]
+        return np.ascontiguousarray(outer.reshape(len(rows), m * m)).view(float)
 
-        return norms
-    outer = A.weights[:, None, None] * cols.conj()[:, :, None] * cols[:, None, :]
-    # complex entries as (re, im) float pairs: one real product for the block
-    flat = np.ascontiguousarray(outer.reshape(len(cols), m * m)).view(float)
+    def largest(sums: np.ndarray) -> np.ndarray:
+        """The largest Gram eigenvalue at each point of the block."""
+        if m == 1:
+            return sums
+        return np.linalg.eigvalsh(sums.view(complex).reshape(len(sums), m, m))[:, -1]
 
-    def gram_norms(dist: np.ndarray) -> np.ndarray:
-        gram = (_inverse_squares(dist) @ flat).view(complex).reshape(len(dist), m, m)
-        _check_finite(gram)
-        return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = data(cols)
+    scaled = []  # (largest row norm, the terms of the rows divided by it), once needed
 
-    return gram_norms
+    def norms(dist: np.ndarray) -> np.ndarray:
+        inv = _inverse_squares(dist)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = inv @ terms
+        if np.isfinite(sums).all():
+            return np.sqrt(np.maximum(largest(sums), 0.0))
+        if not scaled:
+            top = float(np.max(_mode_magnitudes(A, B)))
+            scaled.append((top, data(cols / top)))
+        top, small = scaled[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = inv @ small
+            _check_finite(sums)
+            out = top * np.sqrt(np.maximum(largest(sums), 0.0))
+        _check_finite(out)
+        return out
+
+    return norms
 
 
 def _mode_magnitudes(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
@@ -169,7 +203,8 @@ def _mode_magnitudes(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
     mode n's row of R(mu, A_{-1}) B times |mu - lambda_n|."""
     if B.kind == "aminus_full":
         return np.abs(A.eigenvalues)
-    return np.sqrt(A.weights) * np.linalg.norm(B._coefficients(A), axis=1)
+    with np.errstate(over="ignore"):
+        return np.sqrt(A.weights) * _row_norms(B._coefficients(A))
 
 
 def _weiss_per_mode_closed(A: DiagonalGenerator, B: InputOperator, p: float) -> float:
@@ -178,12 +213,13 @@ def _weiss_per_mode_closed(A: DiagonalGenerator, B: InputOperator, p: float) -> 
     re = np.abs(A.eigenvalues.real)
     # sigma_max of a one-row block is the row 2-norm, so this is attained
     mag = _mode_magnitudes(A, B)
-    if math.isinf(p):
-        vals = mag / re
-    elif p == 2.0:
-        vals = mag / np.sqrt(2.0 * re)
-    else:
-        vals = mag  # p = 1: approached as Re lambda -> +oo
+    with np.errstate(over="ignore"):  # inf: the supremum is beyond the float range
+        if math.isinf(p):
+            vals = mag / re
+        elif p == 2.0:
+            vals = mag / np.sqrt(2.0 * re)
+        else:
+            vals = mag  # p = 1: approached as Re lambda -> +oo
     return float(np.max(vals))
 
 
@@ -200,9 +236,10 @@ def _weiss_row_bounds(
     re_abs = np.abs(A.eigenvalues.real)
     out = np.empty(len(re))
     step = _block_rows(len(mag), _GRID_ENTRIES)
-    for i in range(0, len(re), step):
-        out[i : i + step] = np.linalg.norm(mag / (re[i : i + step, None] + re_abs), axis=1)
-    return _weiss_factor(p, re) * out
+    with np.errstate(over="ignore"):  # an inf bound keeps its row
+        for i in range(0, len(re), step):
+            out[i : i + step] = _row_norms(mag / (re[i : i + step, None] + re_abs))
+        return _weiss_factor(p, re) * out
 
 
 def _weiss_candidates(A: DiagonalGenerator, p: float) -> np.ndarray:
@@ -313,7 +350,9 @@ def weiss_check(
             skipped += int(np.sum(~ok))
             blk, dist = blk[ok], dist[ok]
         if blk.size:
-            vals = _weiss_factor(p, blk.real) * norms(dist)
+            with np.errstate(over="ignore"):
+                vals = _weiss_factor(p, blk.real) * norms(dist)
+            _check_finite(vals)
             best = max(best, float(np.max(vals)))
 
     def evaluate(lo: int, hi: int) -> None:
@@ -517,9 +556,9 @@ def counterexample_run(
 
 
 def _uniform_upper(A: DiagonalGenerator, B: InputOperator) -> float:
-    """Best admissibility constant valid for every horizon: the upper-route
-    table at t = inf, where the kernel route has its limit value."""
-    route, upper = _best_route(_upper_routes(A, B, math.inf)[0])
+    """Best admissibility constant valid for every horizon: the system's
+    upper-route table at t = inf, where the kernel route has its limit value."""
+    route, upper = _best_route(_upper_routes(A, B).at(math.inf)[0])
     if route == "none":
         raise CertifyError(
             "no finite horizon-uniform admissibility bound for this operator"

@@ -37,7 +37,7 @@ from .admissibility import (
     CertificateViolation,
     InputOperator,
     _Stepper,
-    linfty_bounds,
+    _linfty_reports,
     zero_class_profile,
 )
 from .certify import (
@@ -432,9 +432,7 @@ def _cmd_adm(scn, seed, modes):
     B = _input_operator(scn, A, "adm")
     horizons = sorted(float(t) for t in _need(scn, "horizons", "adm"))
     n_pieces = int(scn.get("n_pieces", 16))
-    reports = [
-        linfty_bounds(A, B, t, n_pieces=n_pieces, seed=seed) for t in horizons
-    ]
+    reports = _linfty_reports(A, B, horizons, n_pieces, seed)[0]
     columns = list(zip(*((r.t, r.space, r.lower, r.upper, r.route) for r in reports)))
     jobs = [("admissibility.csv", "t,Z,lower,upper,route", columns)]
     lines = [

@@ -93,15 +93,34 @@ class Segment:
             try:
                 return self.c * x**self.r
             except OverflowError:
-                return _scaled_power(math.log(self.c), x, self.r)
+                return _scaled_power(self.c, x, self.r)
         return self.c
 
 
-def _scaled_power(log_c: float, x: float, e: float) -> float:
-    """e^log_c * x**e for x > 0, taken in logs where x**e alone overflows:
-    inf only when the product is beyond the float range too."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_c + e * math.log(x)))
+def _scaled_power(c: float, x: float, e: float, *divisors: float) -> float:
+    """c * x**e (divided by each of ``divisors``) for positive arguments,
+    where x**e alone overflows.  x**e is y**k, y = x**(e/k) with k = 2 or 4
+    (e/k is exact), and the product is kept as a mantissa in [0.5, 1) and a
+    power of two, so no step over- or underflows: the result is inf (or a
+    subnormal) only where the exact value is, and is within a few roundings
+    of it.  Logs would lose about |log| units of 2^-53."""
+    for k in (2, 4):
+        try:
+            y = x ** (e / k)
+        except OverflowError:
+            continue
+        m, p = math.frexp(c)
+        for step in [y] * k:
+            m, q = math.frexp(m * step)
+            p += q
+        for d in divisors:
+            m, q = math.frexp(m / d)
+            p += q
+        try:
+            return math.ldexp(m, p)
+        except OverflowError:
+            return math.inf
+    return math.inf
 
 
 class YoungFunction:
@@ -186,8 +205,9 @@ class YoungFunction:
         xa = np.abs(np.asarray(x, dtype=float))
         scalar = xa.ndim == 0
         xa = np.atleast_1d(xa)
+        idx = self._index(xa)
         with np.errstate(over="ignore"):
-            out = self._value(xa, self._index(xa))
+            out = self._mend(self._value(xa, idx), xa, idx)
         return float(out[0]) if scalar else out
 
     def _index(self, xa):
@@ -201,6 +221,19 @@ class YoungFunction:
 
     def _density(self, xa, idx):
         return self._c[idx] * xa ** self._r[idx]
+
+    def _mend(self, out, xa, idx, density=False):
+        """Retake in place each entry of ``out``, Phi at the array ``xa`` on
+        segments ``idx`` (phi with ``density``), that reads inf because its
+        power alone overflows: by :func:`_scaled_power`, so that an entry
+        stays inf only where its value is beyond the float range."""
+        coef, expo = (self._c, self._r) if density else (self._coef, self._expo)
+        idx = np.broadcast_to(idx, out.shape)
+        for i in np.flatnonzero(np.isinf(out)):
+            j = idx[i]
+            power = _scaled_power(float(coef[j]), float(xa[i]), float(expo[j]))
+            out[i] = power if density else self._offset[j] + power
+        return out
 
     def inverse(self, y):
         """Generalized inverse of Phi (right-continuous); inverse(0) = 0."""
@@ -238,8 +271,7 @@ class YoungFunction:
             try:
                 total += c / expo**2 * (hi**expo - lo**expo)
             except OverflowError:  # expo**2 or hi**expo alone beyond the float range
-                log_scale = math.log(c) - 2.0 * math.log(expo) + math.log1p(-(lo / hi) ** expo)
-                total += _scaled_power(log_scale, hi, expo)
+                total += _scaled_power(c, hi, expo, expo, expo) * (1.0 - (lo / hi) ** expo)
             if lo > 0.0:
                 total += offset * (math.log(hi) - math.log(lo))
         return total
@@ -411,13 +443,23 @@ def modular(phi: YoungFunction, u: SampledFunction, k: float, slope: bool = Fals
     x = u.values / k
     idx = phi._index(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = float(np.dot(phi._value(x, idx), u.widths))
-        dm = float(np.dot(phi._density(x, idx) * u.values, u.widths)) if slope else 0.0
+        vals = phi._value(x, idx)
+        m = float(np.dot(vals, u.widths))
+        big = m == math.inf  # a Phi(x) may read inf where only x**expo overflows
+        if big:
+            m = float(np.dot(phi._mend(vals, x, idx), u.widths))
+        dm = 0.0
+        if slope:
+            dens = phi._density(x, idx)
+            if big:
+                phi._mend(dens, x, idx, density=True)
+            dm = float(np.dot(dens * u.values, u.widths))
         if u.tail_rate is not None and u.values[-1] > 0.0:
             a = float(u.values[-1]) / k
             m += phi.phi_over_x_integral(a) / u.tail_rate
-            if slope:
-                dm += float(phi._value(a, phi._index(a))) * k / u.tail_rate
+            if slope:  # a is x[-1], whose Phi the mended vals hold
+                top = vals[-1] if big else phi._value(a, phi._index(a))
+                dm += float(top) * k / u.tail_rate
     return (m, dm) if slope else m
 
 

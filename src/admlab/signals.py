@@ -68,6 +68,7 @@ __all__ = [
 _BLOCK_ENTRIES = 4096  # complex mode-piece entries per block, 64 KB (_horner)
 _GRID_ENTRIES = 1 << 16  # real points-by-modes entries per grid block (512 KB)
 _FLUSH = 2.0**-300  # a power |ρ^k|² below this is 0 in the phase-search Grams
+_DEAD_RATE = 110.0  # a grid mode with Re λΔ below minus this has every |ρ^k|² < _FLUSH
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double, 2^-1022
 
 
@@ -381,7 +382,9 @@ def _grid_grams(lams, weights, coeffs, t: float, n_pieces: int) -> np.ndarray:
 
     A power with |ρ^k|² below 2^-300 is set to 0: every term it carries is
     below 2^-300 of the diagonal entry G_j[0, 0] = Σ_n c_nj, and subnormal
-    operands would slow the product several-fold.  The modes run from the
+    operands would slow the product several-fold.  A mode with
+    Re λΔ < -110 has |ρ|² < e^-220 < 2^-300, so it takes no exp: its ρ is
+    0, the same flushed powers.  The modes run from the
     slowest decay to the fastest, and a block keeps only the powers its
     slowest mode keeps alive, L ≤ K of them, with about ``_GRID_ENTRIES``
     real entries over all its arrays.  On a spectrum whose decay spreads
@@ -401,7 +404,10 @@ def _grid_grams(lams, weights, coeffs, t: float, n_pieces: int) -> np.ndarray:
         i += idx.size
         w = lams[idx] * dt
         with np.errstate(under="ignore"):
-            P = _powers(np.exp(w), L)
+            rho = np.zeros_like(w)
+            live = w.real >= -_DEAD_RATE
+            rho[live] = np.exp(w[live])
+            P = _powers(rho, L)
             e = _h(w)
             we = weights[idx] * dt * dt * (e.real**2 + e.imag**2)  # w_n |e_n|²
             cb = coeffs[idx]
@@ -643,54 +649,60 @@ def counterexample_intervals(gammas) -> list[tuple[int, float, float]]:
 
 
 def _phase_search(
-    G: np.ndarray, real_field: bool, restarts: int, iters: int, seed: int
-) -> tuple[np.ndarray, float]:
-    """Best unimodular v for sqrt(v* G v), G positive semidefinite K x K.
+    Gs: np.ndarray, real_field: bool, restarts: int, iters: int, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best unimodular v for sqrt(v* G v) on each G of an S×K×K stack of
+    positive semidefinite Grams: returns the S best iterates as an S×K array
+    and their S values.  One Gram is the stack of one.
 
     Iterates v ← phase(G v) (sign(Re G v) over the real field), which never
     decreases the objective, from the all-ones start and seeded random
-    restarts; returns the best iterate and its value.  The restarts run as
-    the columns of one K×R block, one product G @ V per iteration for the
-    restarts still live, so the Python steps are O(iters), not
-    O(restarts·iters).  Each restart keeps its own stopping rule (a step
-    that gains less than 1e-14 relative is its last, and is taken only if
-    it gains), the starts are the seeded draws of one restart at a time,
-    and the first restart with the best value wins.
+    restarts; Gram s draws its starts from ``seeds[s]``, in the order of
+    one restart at a time.  Every restart of every Gram is a column of one S×K×R stack, and
+    an iteration is one product Gs @ V over all of them, so the Python steps
+    are O(iters), not O(S·restarts·iters).  Each (Gram, restart) keeps its
+    own stopping rule, as a mask: a step that gains less than 1e-14 relative
+    is its last, and is taken only if it gains.  The first restart with the
+    best value wins.  Each slice of the stacked product is the 2-D product
+    G @ V bit for bit, so a Gram's result does not depend on the Grams
+    stacked with it.
     """
-    K = G.shape[0]
-    rng = np.random.default_rng(seed)
-    V = np.ones((K, max(1, restarts)), dtype=complex)
-    for r in range(1, V.shape[1]):
+    S, K = Gs.shape[:2]
+    R = max(1, restarts)
+    V = np.ones((S, K, R), dtype=complex)
+    for s, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
         if real_field:
-            V[:, r] = rng.choice([-1.0, 1.0], size=K)
+            starts = [rng.choice([-1.0, 1.0], size=K) for _ in range(R - 1)]
         else:
-            V[:, r] = np.exp(2j * math.pi * rng.random(K))
-    GV = G @ V
+            starts = np.exp(2j * math.pi * rng.random((R - 1, K)))
+        V[s, :, 1:] = np.transpose(starts)
+    GV = Gs @ V
     cur = _phase_values(V, GV)
-    live = np.arange(V.shape[1])
+    live = np.ones((S, R), dtype=bool)
     for _ in range(max(1, iters)):
-        g = GV[:, live]
         if real_field:
-            v_new = np.where(g.real >= 0.0, 1.0, -1.0).astype(complex)
+            v_new = np.where(GV.real >= 0.0, 1.0, -1.0).astype(complex)
         else:
-            absg = np.abs(g)
-            v_new = np.where(absg > 0.0, g / np.where(absg > 0.0, absg, 1.0), V[:, live])
-        g_new = G @ v_new
+            absg = np.abs(GV)
+            v_new = np.where(absg > 0.0, GV / np.where(absg > 0.0, absg, 1.0), V)
+        g_new = Gs @ v_new
         new = _phase_values(v_new, g_new)
-        old = cur[live]
-        up = new > old
-        gained = live[up]
-        V[:, gained], GV[:, gained], cur[gained] = v_new[:, up], g_new[:, up], new[up]
-        live = live[new > old * (1.0 + 1e-14)]
-        if not live.size:
+        up = live & (new > cur)
+        live &= new > cur * (1.0 + 1e-14)
+        V = np.where(up[:, None, :], v_new, V)
+        GV = np.where(up[:, None, :], g_new, GV)
+        cur = np.where(up, new, cur)
+        if not live.any():
             break
-    best = int(np.argmax(cur))
-    return V[:, best].copy(), float(cur[best])
+    best = np.argmax(cur, axis=1)
+    rows = np.arange(S)
+    return V[rows, :, best], cur[rows, best]
 
 
 def _phase_values(V: np.ndarray, GV: np.ndarray) -> np.ndarray:
-    """sqrt(max(Re v* G v, 0)) for each column v of V, given G @ V."""
-    return np.sqrt(np.maximum(np.einsum("kr,kr->r", V.conj(), GV).real, 0.0))
+    """sqrt(max(Re v* G v, 0)) for each column v of each V[s], given Gs @ V."""
+    return np.sqrt(np.maximum(np.einsum("skr,skr->sr", V.conj(), GV).real, 0.0))
 
 
 def random_signal(

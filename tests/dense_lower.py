@@ -1,12 +1,12 @@
 """Dense and one-at-a-time references for the L∞ lower bound.
 
 The library builds the phase-search Grams from powers on a uniform grid,
-runs every restart of the phase search as one block and finds the chain
+runs every restart of every Gram's phase search as one stack and finds the chain
 bound's picks by ``searchsorted``.  These are the plain forms they replace:
 the n×K matrix of exact piece integrals, its Gram M* diag(w) M, the search
 one restart at a time and the greedy chain loop over every mode.  The dense
 phase oracle, :func:`worst_case_phases`, runs the library's search on such a
-Gram of any integral matrix.
+Gram of any integral matrix, as a stack of one.
 """
 
 import math
@@ -62,11 +62,11 @@ def worst_case_phases(
     b = np.asarray(mode_coeffs, dtype=complex)
     M = b[:, None] * E
     G = M.conj().T @ (w[:, None] * M)
-    best_v, best_val = _phase_search(G, real_field, restarts, iters, seed)
+    (best_v,), (best_val,) = _phase_search(G[None], real_field, restarts, iters, [seed])
     u = None
     if breakpoints is not None:
         u = PiecewiseSignal(breakpoints, best_v, "piecewise")
-    return u, best_val
+    return u, float(best_val)
 
 
 def phase_search_loop(G, real_field, restarts, iters, seed):

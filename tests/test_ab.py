@@ -101,3 +101,26 @@ def test_each_side_compiles_into_its_own_fresh_cache(tmp_path, capsys, monkeypat
     for prefix, root in ((parent, roots[0]), (change, roots[1])):
         assert not Path(prefix).is_relative_to(root)
         assert not Path(prefix).exists()  # removed with its temporary directory
+
+
+_FAKE_WORKLOAD_RUN = """\\
+import json, sys
+with open("seen.txt", "a") as f:
+    f.write(sys.argv[sys.argv.index("--workload") + 1] + "\\n")
+print(json.dumps({"metrics": {"wall_s": {"value": 1.0}}, "failed": 0}))
+"""
+
+
+def test_each_workload_runs_and_is_summarized_in_turn(tmp_path, capsys):
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root in roots:
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text(_FAKE_WORKLOAD_RUN)
+    argv = [str(r) for r in roots] + ["--workload", "a", "--workload", "b", "--pairs", "2"]
+    assert ab.main(argv) == 0
+    out = capsys.readouterr().out
+    # a's pairs and summary come before b's, each with its own rows
+    assert out.index("a, 2 pairs") < out.index("b, 2 pairs")
+    assert out.count("  wall_s: ") == 2 and out.count("pair 2 (change first)") == 2
+    for root in roots:
+        assert (root / "seen.txt").read_text().split() == ["a", "a", "b", "b"]

@@ -1,11 +1,13 @@
 """Input maps, norm bounds per signal space, and certificate identities."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from admlab import admissibility, cli
 from admlab.admissibility import (
     AdmissibilityError,
     AdmissibilityReport,
@@ -434,3 +436,87 @@ def test_results_do_not_depend_on_memory_layout():
             trajectory(A, B, x0, rev, t).coefficients,
             trajectory(A, B, x0, same, t).coefficients,
         )
+
+
+def _three_kinds():
+    rng = np.random.default_rng(41)
+    n = 24
+    lam = -(10.0 ** rng.uniform(-1.0, 2.0, n)) * (1.0 + 1j * rng.uniform(-1.0, 1.0, n))
+    A = DiagonalGenerator(lam, weights=rng.uniform(0.5, 2.0, n))
+    k = np.arange(1, n + 1)
+    cols = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))) / k[:, None]
+    return A, {
+        "columns": InputOperator.columns(cols),
+        "aminus_x0": InputOperator.aminus_x0(cols[:, 0] / k),
+        "aminus_full": InputOperator.aminus_full(),
+    }
+
+
+@pytest.mark.parametrize("kind", ["columns", "aminus_x0", "aminus_full"])
+def test_multi_horizon_reports_equal_one_horizon_calls(kind, tmp_path):
+    # the sup, the zero-class profile and `adm` search every horizon's Grams
+    # as one stack and share one route table; each report is still the
+    # one-horizon linfty_bounds report, field by field
+    A, ops = _three_kinds()
+    B = ops[kind]
+    hs = [2.0, 0.05, 0.5]
+    sup = infinite_time_sup(A, B, "Linf", horizons=hs, n_pieces=12, seed=3)
+    per = [linfty_bounds(A, B, t, n_pieces=12, seed=3) for t in hs]
+    assert sup.lower == max(r.lower for r in per)
+    assert sup.lower_route == max(per, key=lambda r: r.lower).lower_route
+    if kind != "aminus_full":
+        lows = np.max([r.per_column["lower"] for r in per], axis=0).tolist()
+        assert sup.per_column["lower"] == lows
+    reports, _ = zero_class_profile(A, B, hs, seed=3)
+    assert reports == [
+        linfty_bounds(A, B, t, n_pieces=8, seed=3, restarts=4, iters=80) for t in sorted(hs)
+    ]
+    op = {"kind": kind}
+    if kind == "columns":
+        op["matrix"] = [[[z.real, z.imag] for z in row] for row in B.data]
+    elif kind == "aminus_x0":
+        op["x0"] = [[z.real, z.imag] for z in B.data]
+    scenario = {
+        "generator": {"eigenvalues": [[z.real, z.imag] for z in A.eigenvalues],
+                      "weights": A.weights.tolist()},
+        "input_operator": op, "horizons": hs, "n_pieces": 12,
+    }
+    path = tmp_path / "adm.json"
+    path.write_text(json.dumps(scenario))
+    scn, _ = cli.load_scenario(str(path))
+    results, _, _ = cli._HANDLERS["adm"](scn, 3, None)
+    assert results["reports"] == [
+        linfty_bounds(A, B, t, n_pieces=12, seed=3) for t in sorted(hs)
+    ]
+
+
+def test_one_linf_sup_runs_one_search_and_one_route_table(monkeypatch):
+    # three columns at the three default horizons: nine Grams in one stacked
+    # search, and the horizon-uniform routes formed once (the t = inf table
+    # included), where one search per Gram and one table per horizon took 9
+    # and 4
+    A, ops = _three_kinds()
+    calls = {"_phase_search": 0, "_upper_routes": 0}
+
+    def counted(name):
+        fn = getattr(admissibility, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(admissibility, name, counted(name))
+    sup = infinite_time_sup(A, ops["columns"], "Linf")
+    assert calls == {"_phase_search": 1, "_upper_routes": 1}
+    assert len(sup.per_column["lower"]) == 3
+    # at 150 pieces one horizon's three Grams pass the stack's entry budget,
+    # so each horizon is a stack of its own, with the same bounds
+    calls.update(_phase_search=0, _upper_routes=0)
+    sup = infinite_time_sup(A, ops["columns"], "Linf", n_pieces=150)
+    assert calls == {"_phase_search": 3, "_upper_routes": 1}
+    horizons = [0.25 / A.delta, 1.0 / A.delta, 4.0 / A.delta]
+    per = [linfty_bounds(A, ops["columns"], t, n_pieces=150) for t in horizons]
+    assert sup.per_column["lower"] == np.max([r.per_column["lower"] for r in per], axis=0).tolist()

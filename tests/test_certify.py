@@ -336,7 +336,7 @@ def test_iss_slope_is_the_infinite_time_route_table(kind):
         m = 1 if kind == "one column" else 3
         B = InputOperator.columns(rng.normal(size=(12, m)) / k[:, None] ** 2)
     sup = infinite_time_sup(A, B, "Linf")
-    routes, _ = _upper_routes(A, B, math.inf)
+    routes, _ = _upper_routes(A, B).at(math.inf)
     assert sup.routes == routes
     out = iss_certificate(A, B, n_trials=1, seed=2)
     assert out["bundle"]["mu_slope"] == sup.upper

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from admlab import cli
+from admlab.admissibility import InputOperator
+from admlab.certify import weiss_check
 from admlab.cli import ConfigError, _json_ready, emit_plotdata, load_scenario, main, run
+from admlab.spectral import DiagonalGenerator
 
 ADM_SCENARIO = {
     "generator": {"eigenvalues": [[-1.0, 0.0], [-2.0, 0.0], [-4.0, 0.0]]},
@@ -705,14 +708,17 @@ def test_schema_valid_but_unusable_numbers_exit_1_with_their_cause(
     "scenario",
     [
         # w_n |b_n|^2 overflows and the Gram's entries cancel as inf - inf:
-        # the NaN norms were dropped and the report read value 0
+        # the NaN norms were dropped and the report read value 0.  The
+        # supremum is beyond the float range too, at every p (at 1e308 it
+        # fits: test_weiss_rows_whose_squares_overflow_print_the_supremum)
         {"generator": {"eigenvalues": [-1, -2, -3]},
          "input_operator": {"kind": "columns",
-                            "matrix": [[1e308, -1e308], [-1e308, 1e308], [1, 1]]}},
-        # an infinite Gram entry made eigvalsh fail to converge
+                            "matrix": [[1.7e308, -1.7e308], [-1.7e308, 1.7e308], [1, 1]]}},
+        # an infinite Gram entry made eigvalsh fail to converge; the row's
+        # norm is beyond the float range, so p = 1's supremum is too
         {"generator": {"eigenvalues": [[-5e-324, 1.0]]},
          "input_operator": {"kind": "columns",
-                            "matrix": [[2.2250738585e-313, -1e308, [-0.5, -0.5]]]}},
+                            "matrix": [[2.2250738585e-313, -1.5e308, [-1e308, -1e308]]]}},
     ],
     ids=["nan-gram", "eigvalsh-diverges"],
 )
@@ -724,6 +730,39 @@ def test_weiss_squares_beyond_the_float_range_exit_1(tmp_path, capsys, scenario,
         assert main(["weiss", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "error: a squared resolvent norm is beyond the float range\n"
+
+
+@pytest.mark.parametrize(
+    "eigenvalues, matrix, p",
+    [
+        ([-1, -2], [[1e160], [1]], "inf"),
+        ([-1, -2], [[1e160], [1]], 2),
+        ([-1, -2], [[1e160], [1]], 1),
+        ([-1, -2, -3], [[1e308, -1e308], [-1e308, 1e308], [1, 1]], "inf"),
+        ([-1, -2, -3], [[1e308, -1e308], [-1e308, 1e308], [1, 1]], 2),
+    ],
+    ids=["one-column-inf", "one-column-2", "one-column-1", "parallel-rows-inf",
+         "parallel-rows-2"],
+)
+def test_weiss_rows_whose_squares_overflow_print_the_supremum(tmp_path, capsys, eigenvalues,
+                                                              matrix, p):
+    # the rows' squares overflow, the supremum does not: it is 2^1000 times
+    # that of the rows times 2^-1000, whose squares fit (the scaling is exact).
+    # At p = 1 the parallel rows' supremum, about 2e308, is beyond the range.
+    scenario = {"generator": {"eigenvalues": eigenvalues}, "p": p,
+                "input_operator": {"kind": "columns", "matrix": matrix}}
+    scn = _write(tmp_path, "s.json", scenario)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["weiss", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    got = json.loads((tmp_path / "o" / "weiss.report.json").read_text())["results"]
+    A = DiagonalGenerator(eigenvalues)
+    small = InputOperator.columns(np.ldexp(np.array(matrix, dtype=float), -1000))
+    want = weiss_check(A, small, math.inf if p == "inf" else p)
+    assert got["value"] == pytest.approx(math.ldexp(want.value, 1000), rel=1e-15)
+    assert got["closed_form"] == pytest.approx(math.ldexp(want.closed_form, 1000), rel=1e-15)
 
 
 def test_json_ready_refuses_nan_and_names_the_key():

@@ -1,8 +1,9 @@
 """The L∞ lower bound's fast paths against their plain references.
 
 The phase-search Grams built from powers on the uniform grid against the
-dense M* diag(w) M and 40-digit mpmath; the phase search over a block of
-restarts against one restart at a time; the chain bound's ``searchsorted``
+dense M* diag(w) M, 40-digit mpmath and the form that takes every exp; the
+phase search over a block of restarts against one restart at a time, and
+over a stack of Grams against one Gram at a time; the chain bound's ``searchsorted``
 jumps against the greedy loop over every mode.  The references live in
 ``dense_lower.py``.  Needs ``hypothesis`` (the ``test`` extra); the module
 is skipped without it.
@@ -10,6 +11,7 @@ is skipped without it.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,6 +68,27 @@ def test_grid_grams_match_the_dense_gram(seed, n, K, m, t):
     dense = dense_grams(lams, w, cols, np.linspace(0.0, t, K + 1))
     for got, want in zip(G, dense):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    K=st.sampled_from([1, 8, 16]),
+    m=st.integers(1, 3),
+    t=st.floats(0.05, 20.0),
+)
+def test_grid_grams_equal_the_exp_everywhere_form(seed, n, K, m, t):
+    # modes with Re λΔ < -110 take no exp: their powers k >= 1 flush to +0
+    # either way, so the Grams are the same bytes as with every exp taken
+    rng = np.random.default_rng(seed)
+    lams = _spectrum(rng, n)
+    w = rng.uniform(0.5, 2.0, n)
+    cols = _columns(rng, n, m)
+    G = _grid_grams(lams, w, cols, t, K)
+    with mock.patch.object(signals, "_DEAD_RATE", math.inf):
+        every = _grid_grams(lams, w, cols, t, K)
+    assert G.tobytes() == every.tobytes()
 
 
 def test_grid_gram_entry_matches_mpmath():
@@ -129,7 +152,7 @@ def _gram(rng, K):
 def test_batched_phase_search_matches_one_restart_at_a_time(
         seed, K, restarts, iters, real_field):
     G = _gram(np.random.default_rng(seed), K)
-    v, val = _phase_search(G, real_field, restarts, iters, seed)
+    (v,), (val,) = _phase_search(G[None], real_field, restarts, iters, [seed])
     v_ref, val_ref, finals = phase_search_loop(G, real_field, restarts, iters, seed)
     assert val == pytest.approx(val_ref, rel=1e-15, abs=0.0)
     # The same winning restart, so the same iterate up to the last step: a
@@ -141,6 +164,34 @@ def test_batched_phase_search_matches_one_restart_at_a_time(
     assert any(np.allclose(v, u, rtol=0.0, atol=1e-6) for u in tied)
     if len(tied) == 1:
         np.testing.assert_allclose(v, v_ref, rtol=0.0, atol=1e-6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    S=st.integers(1, 12),
+    K=st.integers(1, 12),
+    restarts=st.sampled_from([1, 2, 8]),
+    iters=st.sampled_from([1, 3, 200]),
+    real_field=st.booleans(),
+)
+def test_stacked_phase_search_matches_one_gram_at_a_time(
+        seed, S, K, restarts, iters, real_field):
+    # S Grams searched as one stack against each searched alone, with its
+    # own seed: the same value and the same winning restart, whose iterate
+    # the tie rule of the one-restart-at-a-time reference also accepts
+    rng = np.random.default_rng(seed)
+    Gs = np.array([_gram(rng, K) for _ in range(S)])
+    seeds = [seed + s for s in range(S)]
+    V, vals = _phase_search(Gs, real_field, restarts, iters, seeds)
+    assert V.shape == (S, K) and vals.shape == (S,)
+    for s in range(S):
+        (v,), (val,) = _phase_search(Gs[s : s + 1], real_field, restarts, iters, seeds[s : s + 1])
+        assert vals[s] == pytest.approx(val, rel=1e-15, abs=0.0)
+        np.testing.assert_array_equal(V[s], v)
+        _, val_ref, finals = phase_search_loop(Gs[s], real_field, restarts, iters, seeds[s])
+        tied = [u for u, value in finals if value >= val_ref * (1.0 - 1e-13)]
+        assert any(np.allclose(v, u, rtol=0.0, atol=1e-6) for u in tied)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -185,7 +236,7 @@ def test_linfty_lower_bound_is_reached_by_its_witness(seed, n, K, m, t):
     rep = linfty_bounds(A, B, t, n_pieces=K)
     j = int(np.argmax(rep.per_column["lower"]))
     grams = _grid_grams(A.eigenvalues, A.weights, B._coefficients(A), t, K)
-    v, value = _phase_search(grams[j], False, 8, 200, j)
+    (v,), (value,) = _phase_search(grams[j : j + 1], False, 8, 200, [j])
     assert value == rep.lower
     assert np.allclose(np.abs(v), 1.0, rtol=0.0, atol=1e-15)
     values = v if m == 0 else v[:, None] * np.eye(m)[j]
@@ -220,7 +271,7 @@ def test_chain_lower_equals_the_greedy_loop_bit_for_bit(seed, n, levels, at_one_
 def test_exact_ties_go_to_the_first_restart():
     # every sign vector v gives v* I v = K exactly, so all eight restarts tie
     G = np.eye(5, dtype=complex)
-    v, val = _phase_search(G, True, 8, 200, 3)
+    (v,), (val,) = _phase_search(G[None], True, 8, 200, [3])
     v_ref, val_ref, _ = phase_search_loop(G, True, 8, 200, 3)
     assert val == val_ref == math.sqrt(5.0)
     assert np.array_equal(v, np.ones(5)) and np.array_equal(v_ref, v)

@@ -508,3 +508,48 @@ def test_powers_beyond_the_float_range_are_taken_in_logs():
     # past the float range they are inf
     assert seg.density_at(1e4) == math.inf
     assert phi.phi_over_x_integral(1e4) == math.inf
+
+
+def test_split_powers_match_mpmath():
+    # c * x**e where x**e alone overflows and the product does not: within
+    # a few roundings of 60-digit mpmath, on both split depths (e/2, e/4)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    rng = np.random.default_rng(12)
+    depths = set()
+    for i in range(400):
+        x = float(10.0 ** rng.uniform(0.1, 300.0))
+        bits = float(rng.uniform(*((1025.0, 2040.0), (2050.0, 2060.0))[i % 2]))  # log2 x**e
+        e = bits / math.log2(x)
+        c = float(2.0 ** rng.uniform(max(-1070.0, -1000.0 - bits), 1000.0 - bits))
+        want = mp.mpf(c) * mp.mpf(x) ** mp.mpf(e)
+        depths.add(2 if bits < 2047.0 else 4)
+        assert float(abs(orlicz._scaled_power(c, x, e) - want) / want) < 1e-15
+    assert depths == {2, 4}
+    # the density of 2e-298 x**199 at 1000 is 2e299, not 1.9999999999996e299
+    (seg,) = power_young(200.0, 1e-300).segments
+    want = mp.mpf(seg.c) * mp.mpf(1000) ** 199
+    assert float(abs(seg.density_at(1000.0) - want) / want) < 1e-15
+
+
+def test_phi_whose_power_alone_overflows_matches_mpmath():
+    # Phi(x) = 1e-320 x**200: 36**200 overflows, Phi(36) = 1.8e-9 does not
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    phi = power_young(200.0, 1e-320)
+    coef = mp.mpf(phi.terms[2][0])
+    xs = np.array([3.0, 36.0, 40.0])
+    got = phi(xs)
+    for x, value in zip(xs, got):
+        want = coef * mp.mpf(x) ** 200
+        assert float(abs(value - want) / want) < 1e-15
+    assert phi(36.0) == got[1] and phi(1e4) == math.inf  # 1e480: beyond the range
+    # f = 100 on [0, 1] with an e^-s tail: with y = 100/k the modular is
+    # Phi(y) + integral_0^y Phi(v)/v dv = (coef + c/200**2) y**200, where the
+    # subnormal coef = c/200 keeps few bits, so the norm solves that = 1
+    u = SampledFunction([0.0, 1.0], [100.0], tail_rate=1.0)
+    k = luxemburg_norm(phi, u)
+    (seg,) = phi.segments
+    want = 100 * (coef + mp.mpf(seg.c) / 200**2) ** (mp.mpf(1) / 200)
+    assert k == pytest.approx(float(want), rel=1e-9)
+    assert modular(phi, u, k) <= 1.0 < modular(phi, u, k * (1.0 - 1e-10))

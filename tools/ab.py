@@ -2,8 +2,8 @@
 
 Usage, from anywhere::
 
-    python tools/ab.py PARENT CHANGE --workload envelope [--pairs 10]
-        [--seed 1] [--seconds 8] [--trace 0]
+    python tools/ab.py PARENT CHANGE --workload envelope [--workload bounds ...]
+        [--pairs 10] [--seed 1] [--seconds 8] [--trace 0]
 
 PARENT and CHANGE are two checkouts of the repository (``git archive`` or
 ``git clone`` copies).  Each pair runs ``python3 bench/run.py`` once in each
@@ -21,7 +21,10 @@ between the parent's quartiles) and whether the change regressed: its
 median is worse than the parent's by more than the metric's ``bound``, a
 fraction of the parent's median.  The better direction and the bound of
 each metric are read from the change's ``BENCHMARK.json`` (lower, and no
-bound, when it does not name the metric).  Standard library only.
+bound, when it does not name the metric).  Given ``--workload`` more than
+once, the tool runs and summarizes each workload in turn, each with fresh
+bytecode caches, so one command prints every workload's rows.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ def _metrics(root: Path) -> dict:
             for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
-def _run(root: Path, args, pycache: Path) -> dict:
-    cmd = ["python3", "bench/run.py", "--workload", args.workload, "--seed",
+def _run(root: Path, workload: str, args, pycache: Path) -> dict:
+    cmd = ["python3", "bench/run.py", "--workload", workload, "--seed",
            str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
     env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
     env.pop("PYTHONDONTWRITEBYTECODE", None)  # else every run compiles every module
@@ -92,34 +95,41 @@ def _fmt(q) -> str:
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=8.0)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    args = ap.parse_args(argv)
+def _compare(args, workload: str, pycache: Path, metrics: dict) -> None:
+    """Run one workload's pairs and print its summary rows."""
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as tmp:
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(_run(getattr(args, side), args, Path(tmp) / side))
-            p, c = runs["parent"][-1], runs["change"][-1]
-            print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
-                f"{name} {p[name]:.4g}/{c[name]:.4g}" for name in p), flush=True)
-    metrics = _metrics(args.change)
-    print(f"{args.workload}, {args.pairs} pairs, seed {args.seed}: "
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(_run(getattr(args, side), workload, args, pycache / side))
+        p, c = runs["parent"][-1], runs["change"][-1]
+        print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
+            f"{name} {p[name]:.4g}/{c[name]:.4g}" for name in p), flush=True)
+    print(f"{workload}, {args.pairs} pairs, seed {args.seed}: "
           "median [q1, q3] parent | change, wins, gain, regressed beyond the bound")
     for name in runs["parent"][0]:
         s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
                       *metrics.get(name, ("lower", None)))
         regressed = {None: "-", True: "REGRESSED", False: "no"}[s["regressed"]]
         print(f"  {name}: {_fmt(s['parent'])} | {_fmt(s['change'])}  "
-              f"{s['wins']}/{s['pairs']}  {'yes' if s['gain'] else 'no'}  {regressed}")
+              f"{s['wins']}/{s['pairs']}  {'yes' if s['gain'] else 'no'}  {regressed}",
+              flush=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True, action="append")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=8.0)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = ap.parse_args(argv)
+    metrics = _metrics(args.change)
+    with tempfile.TemporaryDirectory(prefix="ab-pycache-") as tmp:
+        for workload in args.workload:
+            _compare(args, workload, Path(tmp) / workload, metrics)
     return 0
 
 
