@@ -123,24 +123,9 @@ def _inverse_squares(dist: np.ndarray) -> np.ndarray:
     return np.divide(1.0, sq, out=sq)
 
 
-def _check_finite(values: np.ndarray) -> None:
+def _check_finite(values: np.ndarray | float) -> None:
     if not np.isfinite(values).all():
         raise CertifyError("a squared resolvent norm is beyond the float range")
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """The 2-norm of each row of a 2-D array.  Only the rows whose squares
-    overflow are retaken, divided by their largest entry and scaled back, so
-    a norm is inf only where it is beyond the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.linalg.norm(rows, axis=1)
-        bad = np.isinf(out)
-        if bad.any():
-            big = rows[bad]
-            top = np.maximum(np.abs(big.real).max(axis=1), np.abs(big.imag).max(axis=1))
-            retaken = top * np.linalg.norm(big / top[:, None], axis=1)
-            out[bad] = np.where(np.isinf(top), np.inf, retaken)  # an inf entry stays inf
-    return out
 
 
 def _resolvent_norms(
@@ -153,58 +138,51 @@ def _resolvent_norms(
     For m >= 2 columns the squared norm at mu is the largest eigenvalue of
     the m x m Gram G(mu) = sum_n w_n conj(b_n) b_n^T / |mu - lambda_n|^2,
     taken for every point of the block by one real product with ``dist``.
-    Where the squares overflow (the input's rows, or their sums), the block
-    is retaken on the rows divided by the largest row norm
-    sqrt(w_n) ||b_n||, and its norms scaled back.  A norm beyond the float
-    range is a :class:`CertifyError`, not a NaN or an eigensolver failure."""
+    The rows are taken times 2^-e, e the exponent of the largest row norm
+    sqrt(w_n) ||b_n|| (none for e <= 0), so their squares fit in a float,
+    and the norms times 2^e: a power of two moves no bit of an in-range
+    number.  A sum beyond the float range is a :class:`CertifyError`, not
+    a NaN or an eigensolver failure; a norm beyond it reads inf."""
     cols = B._coefficients(A)
     m = cols.shape[1]
-
-    def data(rows: np.ndarray) -> np.ndarray:
-        """w_n |b_n|^2, or the Gram terms w_n conj(b_n) b_n^T as (re, im) float
-        pairs (one real product for the block)."""
-        if m == 1:
-            return A.weights * np.abs(rows[:, 0]) ** 2
-        outer = A.weights[:, None, None] * rows.conj()[:, :, None] * rows[:, None, :]
-        return np.ascontiguousarray(outer.reshape(len(rows), m * m)).view(float)
-
-    def largest(sums: np.ndarray) -> np.ndarray:
-        """The largest Gram eigenvalue at each point of the block."""
-        if m == 1:
-            return sums
-        return np.linalg.eigvalsh(sums.view(complex).reshape(len(sums), m, m))[:, -1]
-
+    # a row norm beyond the float range reads inf, e = 0: the sums are refused
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = data(cols)
-    scaled = []  # (largest row norm, the terms of the rows divided by it), once needed
+        e = max(math.frexp(float(np.max(_mode_magnitudes(A, B), initial=0.0)))[1], 0)
+        rows = cols * math.ldexp(1.0, -e)
+        if m == 1:
+            terms = A.weights * np.abs(rows[:, 0]) ** 2
+        else:
+            outer = A.weights[:, None, None] * rows.conj()[:, :, None] * rows[:, None, :]
+            # complex entries as (re, im) float pairs: one real product for the block
+            terms = np.ascontiguousarray(outer.reshape(len(rows), m * m)).view(float)
 
     def norms(dist: np.ndarray) -> np.ndarray:
-        inv = _inverse_squares(dist)
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = inv @ terms
-        if np.isfinite(sums).all():
-            return np.sqrt(np.maximum(largest(sums), 0.0))
-        if not scaled:
-            top = float(np.max(_mode_magnitudes(A, B)))
-            scaled.append((top, data(cols / top)))
-        top, small = scaled[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = inv @ small
+            sums = _inverse_squares(dist) @ terms
             _check_finite(sums)
-            out = top * np.sqrt(np.maximum(largest(sums), 0.0))
-        _check_finite(out)
-        return out
+            if m > 1:
+                sums = np.linalg.eigvalsh(sums.view(complex).reshape(len(sums), m, m))[:, -1]
+            return np.ldexp(np.sqrt(np.maximum(sums, 0.0)), e)
 
     return norms
 
 
 def _mode_magnitudes(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
     """|lambda_n| for ``aminus_full``, else sqrt(w_n) ||b_n||: the size of
-    mode n's row of R(mu, A_{-1}) B times |mu - lambda_n|."""
+    mode n's row of R(mu, A_{-1}) B times |mu - lambda_n|.  A row whose
+    squares overflow is retaken divided by its largest entry and scaled
+    back, so a magnitude is inf only where it is beyond the float range."""
     if B.kind == "aminus_full":
         return np.abs(A.eigenvalues)
-    with np.errstate(over="ignore"):
-        return np.sqrt(A.weights) * _row_norms(B._coefficients(A))
+    cols = B._coefficients(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.linalg.norm(cols, axis=1)
+        bad = np.isinf(out)
+        if bad.any():
+            big = cols[bad]
+            top = np.maximum(np.abs(big.real).max(axis=1), np.abs(big.imag).max(axis=1))
+            out[bad] = top * np.linalg.norm(big / top[:, None], axis=1)
+        return np.sqrt(A.weights) * out
 
 
 def _weiss_per_mode_closed(A: DiagonalGenerator, B: InputOperator, p: float) -> float:
@@ -238,7 +216,7 @@ def _weiss_row_bounds(
     step = _block_rows(len(mag), _GRID_ENTRIES)
     with np.errstate(over="ignore"):  # an inf bound keeps its row
         for i in range(0, len(re), step):
-            out[i : i + step] = _row_norms(mag / (re[i : i + step, None] + re_abs))
+            out[i : i + step] = np.linalg.norm(mag / (re[i : i + step, None] + re_abs), axis=1)
         return _weiss_factor(p, re) * out
 
 
@@ -295,10 +273,11 @@ def weiss_check(
     points near a mode's peak.  A point within 1e-12 (1 + |l|) of
     the spectrum on the plane, or 1e-150 (1 + |l|) on the axis (where that
     only keeps 1 / |l - lambda_n|^2 finite), is skipped and counted in
-    ``skipped``.  A squared norm beyond the float range is a
-    :class:`CertifyError` (``_resolvent_norms``).  The points run in blocks
-    of about ``_GRID_ENTRIES`` points·modes (at least 4 points), so the
-    working set is about 2 MB, not O(points·modes).  Each block builds its
+    ``skipped``.  On every route a ``value`` beyond the float range is a
+    :class:`CertifyError`, and so is a Gram sum beyond it
+    (``_resolvent_norms``).  The points run in blocks of about
+    ``_GRID_ENTRIES`` points·modes (at least 4 points), so the working set
+    is about 2 MB, not O(points·modes).  Each block builds its
     points-by-modes distance matrix once; the guard and the resolvent norms
     both read it.  With m >= 2 columns the norms come from the m x m Gram of
     every point in one product with that matrix and one stacked
@@ -322,6 +301,7 @@ def weiss_check(
             # the Gram at unit distances, sum_n w_n conj(b_n) b_n^T; the max keeps
             # value >= closed_form (which one mode alone approaches) in the last bit
             value = max(closed, float(_resolvent_norms(A, B)(np.ones((1, A.n_modes)))[0]))
+        _check_finite(value)
         return WeissReport(p, value, closed, 0, 0, 0, B.kind, "closed-form")
     lam = A.eigenvalues
     axis = math.isinf(p)
@@ -350,9 +330,8 @@ def weiss_check(
             skipped += int(np.sum(~ok))
             blk, dist = blk[ok], dist[ok]
         if blk.size:
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore"):  # inf: refused below
                 vals = _weiss_factor(p, blk.real) * norms(dist)
-            _check_finite(vals)
             best = max(best, float(np.max(vals)))
 
     def evaluate(lo: int, hi: int) -> None:
@@ -371,6 +350,7 @@ def weiss_check(
             evaluate(i * width, (i + 1) * width)
     route = "axis" if axis else "plane"
     value = max(best, closed)
+    _check_finite(value)
     return WeissReport(p, value, closed, len(pts), len(cands), skipped, B.kind, route)
 
 

@@ -703,30 +703,49 @@ def test_schema_valid_but_unusable_numbers_exit_1_with_their_cause(
     assert err.startswith("error: ") and cause in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("p", ["inf", 2, 1])
+# w_n |b_n|^2 overflows and the Gram's entries cancel as inf - inf: the NaN
+# norms were dropped and the report read value 0.  The supremum is beyond the
+# float range too, at every p (at 1e308 it fits at p = oo and 2:
+# test_weiss_rows_whose_squares_overflow_print_the_supremum)
+_NAN_GRAM = {"generator": {"eigenvalues": [-1, -2, -3]},
+             "input_operator": {"kind": "columns", "matrix": [
+                 [1.7e308, -1.7e308], [-1.7e308, 1.7e308], [1, 1]]}}
+# an infinite Gram entry made eigvalsh fail to converge; the row's norm is
+# beyond the float range, so the supremum is too, at every p
+_EIGVALSH_DIVERGES = {"generator": {"eigenvalues": [[-5e-324, 1.0]]},
+                      "input_operator": {"kind": "columns", "matrix": [
+                          [2.2250738585e-313, -1.5e308, [-1e308, -1e308]]]}}
+# the row's squares overflow, and 1e308 / 5e-324 (p = oo) and 1e308 /
+# sqrt(1e-323) (p = 2) are beyond the float range, though every evaluated
+# point's norm is finite: only the one-mode closed form reads inf.  At p = 1
+# the supremum is the row norm, 1e308, and is printed.
+_SUBNORMAL_RE = {"generator": {"eigenvalues": [[-5e-324, 1.0]]},
+                 "input_operator": {"kind": "columns", "matrix": [
+                     [2.2250738585e-313, -1e308, [-0.5, -0.5]]]}}
+
+
 @pytest.mark.parametrize(
-    "scenario",
+    "scenario, p",
     [
-        # w_n |b_n|^2 overflows and the Gram's entries cancel as inf - inf:
-        # the NaN norms were dropped and the report read value 0.  The
-        # supremum is beyond the float range too, at every p (at 1e308 it
-        # fits: test_weiss_rows_whose_squares_overflow_print_the_supremum)
-        {"generator": {"eigenvalues": [-1, -2, -3]},
-         "input_operator": {"kind": "columns",
-                            "matrix": [[1.7e308, -1.7e308], [-1.7e308, 1.7e308], [1, 1]]}},
-        # an infinite Gram entry made eigvalsh fail to converge; the row's
-        # norm is beyond the float range, so p = 1's supremum is too
-        {"generator": {"eigenvalues": [[-5e-324, 1.0]]},
-         "input_operator": {"kind": "columns",
-                            "matrix": [[2.2250738585e-313, -1.5e308, [-1e308, -1e308]]]}},
+        *((_NAN_GRAM, p) for p in ("inf", 2, 1)),
+        *((_EIGVALSH_DIVERGES, p) for p in ("inf", 2, 1)),
+        (_SUBNORMAL_RE, "inf"),
+        (_SUBNORMAL_RE, 2),
+        # the diagonal form's closed form |lambda| / |Re lambda| = 1 / 5e-324
+        ({"generator": {"eigenvalues": [[-5e-324, 1.0]]},
+          "input_operator": {"kind": "aminus_full"}}, "inf"),
     ],
-    ids=["nan-gram", "eigvalsh-diverges"],
+    ids=["nan-gram-inf", "nan-gram-2", "nan-gram-1", "eigvalsh-diverges-inf",
+         "eigvalsh-diverges-2", "eigvalsh-diverges-1", "subnormal-re-inf", "subnormal-re-2",
+         "subnormal-re-closed-form"],
 )
 def test_weiss_squares_beyond_the_float_range_exit_1(tmp_path, capsys, scenario, p):
+    # every route refuses a supremum beyond the float range the same way
     scenario = dict(scenario, p=p)
     assert cli._validator().is_valid(json.loads(json.dumps(scenario)))
     scn = _write(tmp_path, "s.json", scenario)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["weiss", "--scenario", scn, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err == "error: a squared resolvent norm is beyond the float range\n"
@@ -740,18 +759,20 @@ def test_weiss_squares_beyond_the_float_range_exit_1(tmp_path, capsys, scenario,
         ([-1, -2], [[1e160], [1]], 1),
         ([-1, -2, -3], [[1e308, -1e308], [-1e308, 1e308], [1, 1]], "inf"),
         ([-1, -2, -3], [[1e308, -1e308], [-1e308, 1e308], [1, 1]], 2),
+        ([-5e-324 + 1j], [[2.2250738585e-313, -1e308, -0.5 - 0.5j]], 1),
     ],
     ids=["one-column-inf", "one-column-2", "one-column-1", "parallel-rows-inf",
-         "parallel-rows-2"],
+         "parallel-rows-2", "subnormal-re-1"],
 )
 def test_weiss_rows_whose_squares_overflow_print_the_supremum(tmp_path, capsys, eigenvalues,
                                                               matrix, p):
     # the rows' squares overflow, the supremum does not: it is 2^1000 times
     # that of the rows times 2^-1000, whose squares fit (the scaling is exact).
-    # At p = 1 the parallel rows' supremum, about 2e308, is beyond the range.
+    # At p = 1 the parallel rows' supremum, about 2e308, is beyond the range;
+    # the subnormal-Re row's is beyond it at p = oo and 2, not at p = 1.
     scenario = {"generator": {"eigenvalues": eigenvalues}, "p": p,
                 "input_operator": {"kind": "columns", "matrix": matrix}}
-    scn = _write(tmp_path, "s.json", scenario)
+    scn = _write(tmp_path, "s.json", _json_ready(scenario))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["weiss", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
@@ -759,7 +780,7 @@ def test_weiss_rows_whose_squares_overflow_print_the_supremum(tmp_path, capsys, 
     assert out.err == ""
     got = json.loads((tmp_path / "o" / "weiss.report.json").read_text())["results"]
     A = DiagonalGenerator(eigenvalues)
-    small = InputOperator.columns(np.ldexp(np.array(matrix, dtype=float), -1000))
+    small = InputOperator.columns(np.array(matrix) * 2.0**-1000)
     want = weiss_check(A, small, math.inf if p == "inf" else p)
     assert got["value"] == pytest.approx(math.ldexp(want.value, 1000), rel=1e-15)
     assert got["closed_form"] == pytest.approx(math.ldexp(want.closed_form, 1000), rel=1e-15)
