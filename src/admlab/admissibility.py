@@ -62,6 +62,7 @@ from .signals import (
     _BLOCK_ENTRIES,
     _GRID_ENTRIES,
     PiecewiseSignal,
+    SignalError,
     _block_rows,
     _expm1,
     _grid_grams,
@@ -242,23 +243,22 @@ def _left_x(A: DiagonalGenerator, coeff: np.ndarray) -> bool:
     return False
 
 
-def _run_images(A: DiagonalGenerator, runs, stacklevel, per_mode=False, scale=None, cols=None):
+def _run_images(A: DiagonalGenerator, runs, stacklevel, scale=None, cols=None):
     """Yield (image, X norm) of each run of one Horner pass, last run first.
 
     ``runs`` lists (widths, values, starts) in layout order; they are
     concatenated, each run's starts offset by the pieces before it, and
-    integrated in one :func:`_horner` pass (``per_mode`` and ``cols`` as
-    there), each image times ``scale`` unless that is None.  The images are
-    measured row-wise by :func:`_weighted_norms`, over blocks of about
-    ``_BLOCK_ENTRIES`` entries, bit for bit the one-vector norm; an inf norm
-    (the image left X) comes with :func:`input_map`'s warning, issued
-    ``stacklevel`` frames up from this generator.
+    integrated in one :func:`_horner` pass (``cols`` as there), each image
+    times ``scale`` unless that is None.  The images are measured row-wise
+    by :func:`_weighted_norms`, over blocks of about ``_BLOCK_ENTRIES``
+    entries, bit for bit the one-vector norm; an inf norm (the image left X)
+    comes with :func:`input_map`'s warning, issued ``stacklevel`` frames up
+    from this generator.
     """
     widths, vals, starts = zip(*runs)
     firsts = accumulate(map(len, widths[:-1]), initial=0)
     starts = [f + s for f, run in zip(firsts, starts) for s in run]
-    images = _horner(A.eigenvalues, np.concatenate(widths), np.concatenate(vals),
-                     per_mode, starts, cols)
+    images = _horner(A.eigenvalues, np.concatenate(widths), np.concatenate(vals), starts, cols)
     rows, block = max(1, _BLOCK_ENTRIES // A.n_modes), []
     for q, ints in enumerate(images, 1):
         block.append(ints if scale is None else scale * ints)
@@ -341,7 +341,7 @@ class _Stepper:
         # the paths' windows, last path first, as the runs of one pass
         runs = [u._windows(self.times) for u in reversed(us)]
         # the warning names the caller of paths()
-        for forced, norm in _run_images(A, runs, 4, us[0].per_mode, scale, cols):
+        for forced, norm in _run_images(A, runs, 4, scale, cols):
             yield forced, norm == math.inf
 
 
@@ -407,10 +407,10 @@ class AdmissibilityReport:
         cols = self.per_column or {}
         pairs = zip(cols.get("lower", ()), cols.get("upper", ()))
         for j, (lo, up) in enumerate([(self.lower, self.upper), *pairs]):
-            if lo > up + _REPORT_SLACK:
+            if not lo <= up + _REPORT_SLACK:  # a NaN end is refused too
                 where = f" in column {j - 1}" if j else ""
                 raise CertificateViolation(
-                    f"lower bound {lo} exceeds upper bound {up}{where} "
+                    f"lower bound {lo} is not at most upper bound {up}{where} "
                     f"({self.space}, t={self.t})"
                 )
 
@@ -579,8 +579,10 @@ def _lower_bounds(
             )
         except (MemoryError, ValueError) as exc:  # numpy's ValueError: beyond any address space
             raise AdmissibilityError(f"n_pieces {n_pieces} does not fit in memory") from exc
+        except SignalError as exc:
+            raise AdmissibilityError(str(exc)) from None
         seeds = [seed + j for _ in group for j in range(m)]
-        vals = _phase_search(grams, False, restarts, iters, seeds)[1]
+        vals = _phase_search(grams, restarts, iters, seeds)[1]
         out += [(max(row), "phase-search", row) for row in vals.reshape(-1, m).tolist()]
     return out
 

@@ -129,11 +129,12 @@ def _check_finite(values: np.ndarray | float) -> None:
 
 
 def _resolvent_norms(
-    A: DiagonalGenerator, B: InputOperator
+    A: DiagonalGenerator, B: InputOperator, mag: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The map from a points-by-modes block ``dist`` of |mu - lambda_n| to
-    ||R(mu, A_{-1}) B|| at each of its points, for a finite-rank B; the
-    per-mode data is formed once, for every block.
+    ||R(mu, A_{-1}) B|| at each of its points, for a finite-rank B with mode
+    magnitudes ``mag`` (:func:`_mode_magnitudes`); the per-mode data is
+    formed once, for every block.
 
     For m >= 2 columns the squared norm at mu is the largest eigenvalue of
     the m x m Gram G(mu) = sum_n w_n conj(b_n) b_n^T / |mu - lambda_n|^2,
@@ -147,7 +148,7 @@ def _resolvent_norms(
     m = cols.shape[1]
     # a row norm beyond the float range reads inf, e = 0: the sums are refused
     with np.errstate(over="ignore", invalid="ignore"):
-        e = max(math.frexp(float(np.max(_mode_magnitudes(A, B), initial=0.0)))[1], 0)
+        e = max(math.frexp(float(np.max(mag, initial=0.0)))[1], 0)
         rows = cols * math.ldexp(1.0, -e)
         if m == 1:
             terms = A.weights * np.abs(rows[:, 0]) ** 2
@@ -185,12 +186,12 @@ def _mode_magnitudes(A: DiagonalGenerator, B: InputOperator) -> np.ndarray:
         return np.sqrt(A.weights) * out
 
 
-def _weiss_per_mode_closed(A: DiagonalGenerator, B: InputOperator, p: float) -> float:
-    """max over modes of the exact one-mode supremum (equals the full supremum
-    for the diagonal form; a certified-achievable floor otherwise)."""
+def _weiss_per_mode_closed(A: DiagonalGenerator, mag: np.ndarray, p: float) -> float:
+    """max over modes of the exact one-mode supremum, from the mode
+    magnitudes ``mag`` (equals the full supremum for the diagonal form; a
+    certified-achievable floor otherwise)."""
     re = np.abs(A.eigenvalues.real)
     # sigma_max of a one-row block is the row 2-norm, so this is attained
-    mag = _mode_magnitudes(A, B)
     with np.errstate(over="ignore"):  # inf: the supremum is beyond the float range
         if math.isinf(p):
             vals = mag / re
@@ -202,15 +203,15 @@ def _weiss_per_mode_closed(A: DiagonalGenerator, B: InputOperator, p: float) -> 
 
 
 def _weiss_row_bounds(
-    A: DiagonalGenerator, B: InputOperator, p: float, re: np.ndarray
+    A: DiagonalGenerator, mag: np.ndarray, p: float, re: np.ndarray
 ) -> np.ndarray:
     """An upper bound on (p r)^{1/p} ||R(mu, A_{-1}) B|| over the whole line
-    Re mu = r, for each r in ``re``, for a finite-rank B.
+    Re mu = r, for each r in ``re``, for a finite-rank B with mode
+    magnitudes ``mag``.
 
     On that line |mu - lambda_n| >= r + |Re lambda_n|, so every row of the
     resolvent is at most t_n = mag_n / (r + |Re lambda_n|), and the norm is
     at most ||t||_2 (the Gram's largest eigenvalue is at most its trace)."""
-    mag = _mode_magnitudes(A, B)
     re_abs = np.abs(A.eigenvalues.real)
     out = np.empty(len(re))
     step = _block_rows(len(mag), _GRID_ENTRIES)
@@ -263,8 +264,9 @@ def weiss_check(
       margin covers the rounding of the bound and of the norms) and the
       on-spectrum guard provably cannot fire on it:
       r + min |Re lambda_n| > 1e-12 (1 + max |l|) over the row.  A row left
-      out cannot hold the maximum, so the best point and ``skipped`` are
-      those of every point, at O(n (candidates + 51 rows kept)).
+      out cannot hold the maximum, so ``skipped`` is that of every point,
+      and the best point the best of every point, at O(n (candidates + 51
+      rows kept)).
 
     On the axis and the plane ``value`` is the larger of the best evaluated
     point and ``closed_form``, each an achieved lower end of the supremum:
@@ -281,11 +283,11 @@ def weiss_check(
     points-by-modes distance matrix once; the guard and the resolvent norms
     both read it.  With m >= 2 columns the norms come from the m x m Gram of
     every point in one product with that matrix and one stacked
-    ``eigvalsh``.  Points run in whole 4-point groups of the blocks of one
-    pass over all points, so each norm is the same float as in that pass:
-    the matrix-vector kernel takes points four at a time.  A grid point the
-    guard drops shifts the rest of its run, which may move a later norm of
-    that run in its last bit.
+    ``eigvalsh``.  The candidates are one run of blocks and each row
+    evaluated another, built when its turn comes.  A norm's last bits
+    depend on the shape of the product its point lands in (the BLAS kernel
+    rounds by it), so ``value`` may differ from the best of one pass over
+    every point by a few units in the last place.
     """
     try:
         p = math.inf if p in ("inf", "oo") else float(p)
@@ -294,13 +296,14 @@ def weiss_check(
     if not (math.isinf(p) or p in (1.0, 2.0)):
         raise CertifyError("p must be one of {1, 2, inf}")
     B.check_alignment(A)
-    closed = _weiss_per_mode_closed(A, B, p)
+    mag = _mode_magnitudes(A, B)
+    closed = _weiss_per_mode_closed(A, mag, p)
     if B.kind == "aminus_full" or p == 1.0:
         value = closed
         if B.kind != "aminus_full":
             # the Gram at unit distances, sum_n w_n conj(b_n) b_n^T; the max keeps
             # value >= closed_form (which one mode alone approaches) in the last bit
-            value = max(closed, float(_resolvent_norms(A, B)(np.ones((1, A.n_modes)))[0]))
+            value = max(closed, float(_resolvent_norms(A, B, mag)(np.ones((1, A.n_modes)))[0]))
         _check_finite(value)
         return WeissReport(p, value, closed, 0, 0, 0, B.kind, "closed-form")
     lam = A.eigenvalues
@@ -309,49 +312,39 @@ def weiss_check(
     # the on-spectrum guard; on the axis |l - lambda_n| >= |Re lambda_n| > 0
     # exactly, and the guard only keeps 1 / |l - lambda_n|^2 finite
     near = 1e-150 if axis else 1e-12
-    pts = (re[:, None] + 1j * _WEISS_IM[None, :]).ravel()
     cands = _weiss_candidates(A, p)
-    allpts = np.concatenate([pts, cands])
-    norms = _resolvent_norms(A, B)
+    norms = _resolvent_norms(A, B, mag)
     chunk = _block_rows(A.n_modes, _GRID_ENTRIES)
-    width = len(_WEISS_IM)
-    # rows the guard cannot reach: |l - lambda_n| >= r + |Re lambda_n| there
-    reach = near * (1.0 + np.abs(pts).reshape(len(re), width).max(axis=1))
-    safe = re + np.min(np.abs(lam.real)) > reach
-    fresh = np.ones(-(-len(allpts) // 4), dtype=bool)  # 4-point groups not yet run
+    min_re = np.min(np.abs(lam.real))
     best, skipped = 0.0, 0
 
-    def run(lo: int, hi: int) -> None:
+    def evaluate(pts: np.ndarray) -> None:
         nonlocal best, skipped
-        blk = allpts[lo:hi]
-        dist = np.abs(blk[:, None] - lam[None, :])
-        ok = dist.min(axis=1) > near * (1.0 + np.abs(blk))
-        if not ok.all():
-            skipped += int(np.sum(~ok))
-            blk, dist = blk[ok], dist[ok]
-        if blk.size:
-            with np.errstate(over="ignore"):  # inf: refused below
-                vals = _weiss_factor(p, blk.real) * norms(dist)
-            best = max(best, float(np.max(vals)))
+        for lo in range(0, len(pts), chunk):
+            blk = pts[lo : lo + chunk]
+            dist = np.abs(blk[:, None] - lam[None, :])
+            ok = dist.min(axis=1) > near * (1.0 + np.abs(blk))
+            if not ok.all():
+                skipped += int(np.sum(~ok))
+                blk, dist = blk[ok], dist[ok]
+            if blk.size:
+                with np.errstate(over="ignore"):  # inf: refused below
+                    vals = _weiss_factor(p, blk.real) * norms(dist)
+                best = max(best, float(np.max(vals)))
 
-    def evaluate(lo: int, hi: int) -> None:
-        """Points lo:hi in whole 4-point groups not yet run, block by block."""
-        for start in range(lo // chunk * chunk, hi, chunk):
-            a, b = max(lo, start), min(hi, start + chunk)
-            g = a // 4 + np.flatnonzero(fresh[a // 4 : -(-b // 4)])
-            if g.size:
-                fresh[g[0] : g[-1] + 1] = False
-                run(4 * g[0], min(4 * g[-1] + 4, len(allpts)))
-
-    evaluate(len(pts), len(allpts))  # the candidates first
-    bounds = _weiss_row_bounds(A, B, p, re)
+    evaluate(cands)  # the candidates first
+    bounds = _weiss_row_bounds(A, mag, p, re)
     for i in np.argsort(-bounds, kind="stable"):
-        if not (safe[i] and bounds[i] * (1.0 + 1e-9) < best):
-            evaluate(i * width, (i + 1) * width)
+        row = re[i] + 1j * _WEISS_IM
+        # the guard cannot reach the row: |l - lambda_n| >= r + |Re lambda_n| there
+        safe = re[i] + min_re > near * (1.0 + np.abs(row).max())
+        if not (safe and bounds[i] * (1.0 + 1e-9) < best):
+            evaluate(row)
     route = "axis" if axis else "plane"
     value = max(best, closed)
     _check_finite(value)
-    return WeissReport(p, value, closed, len(pts), len(cands), skipped, B.kind, route)
+    return WeissReport(p, value, closed, len(re) * len(_WEISS_IM), len(cands), skipped,
+                       B.kind, route)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +503,6 @@ def counterexample_run(
     per_column = float(math.hypot(1.0, k_bound))  # = sec(sector angle)
     n_weiss = min(M, 900)
     gammas = -(2.0 ** np.arange(n_weiss)) * z
-    table = counterexample_intervals(gammas)
     A = DiagonalGenerator(gammas)
     wr = weiss_check(A, InputOperator.aminus_full(), p=math.inf)
     return {
@@ -525,7 +517,8 @@ def counterexample_run(
         "per_column_uniform": True,
         "weiss": asdict(wr),
         "n_modes_weiss": n_weiss,
-        "intervals_head": table[: min(8, len(table))],
+        # row m snaps against row m - 1 alone, so the head is that of all rows
+        "intervals_head": counterexample_intervals(gammas[:8]),
         "runtime_s": time.perf_counter() - t0,
     }
 

@@ -71,18 +71,6 @@ from .spectral import (
     space_norm,
 )
 
-COMMANDS = (
-    "orlicz-norm",
-    "simulate",
-    "adm",
-    "weiss",
-    "sqfct",
-    "counterexample",
-    "iss",
-    "iiss",
-    "shift-demo",
-    "probe-boundedness",
-)
 _SEEDED = {"adm", "iss", "iiss"}
 
 
@@ -238,8 +226,8 @@ def _input_operator(scn: dict, A: DiagonalGenerator, command: str) -> InputOpera
     return InputOperator.aminus_full()
 
 
-def _young(scn: dict, command: str, key: str = "young"):
-    obj = _need(scn, key, command)
+def _young(scn: dict, command: str):
+    obj = _need(scn, "young", command)
     if "power" in obj:
         return power_young(float(obj["power"]), float(obj.get("scale", 1.0)))
     return young_from_json(obj)
@@ -580,6 +568,7 @@ _HANDLERS = {
     "shift-demo": _cmd_shift_demo,
     "probe-boundedness": _cmd_probe,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 # ---------------------------------------------------------------------------
@@ -666,19 +655,15 @@ def main(argv=None) -> int:
             modes=args.modes,
             quiet=args.quiet,
         )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
+        ConfigError,
         SpectralError,
         SignalError,
         OrliczError,
         AdmissibilityError,
         CertifyError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -390,6 +390,12 @@ def _grid_grams(lams, weights, coeffs, t: float, n_pieces: int) -> np.ndarray:
     real entries over all its arrays.  On a spectrum whose decay spreads
     over decades most modes keep a few powers, so the product shrinks from
     O(m·K²) to O(m·L²) per mode, and memory stays O(m·K² + block).
+
+    A c_nj that is not finite (Δ² beyond the float range once Δ passes about
+    1.3e154, or w_n or |b_nj|² beyond it) is retaken as w_n |b_nj z_n/λ_n|²,
+    z_n = e^{λ_nΔ} - 1: e_n in the z/λ form of :func:`_horner`, with z_n = -1
+    for a mode that takes no exp.  One that is still not finite is a
+    :class:`SignalError` naming it.
     """
     K, m = n_pieces, coeffs.shape[1]
     dt = t / K
@@ -409,9 +415,19 @@ def _grid_grams(lams, weights, coeffs, t: float, n_pieces: int) -> np.ndarray:
             rho[live] = np.exp(w[live])
             P = _powers(rho, L)
             e = _h(w)
-            we = weights[idx] * dt * dt * (e.real**2 + e.imag**2)  # w_n |e_n|²
             cb = coeffs[idx]
-            c = (cb.real**2 + cb.imag**2) * we[:, None]
+            with np.errstate(over="ignore", invalid="ignore"):  # not finite: retaken
+                we = weights[idx] * dt * dt * (e.real**2 + e.imag**2)  # w_n |e_n|²
+                c = (cb.real**2 + cb.imag**2) * we[:, None]
+                if not np.isfinite(c).all():
+                    n, j = np.nonzero(~np.isfinite(c))
+                    z = _expm1(np.where(live, w, -np.inf)[n])  # -inf: z = -1 exactly
+                    c[n, j] = weights[idx][n] * np.abs(cb[n, j] * (z / lams[idx][n])) ** 2
+                    if not np.isfinite(c).all():
+                        raise SignalError(
+                            f"a phase-search Gram weight w_n |b_nj e_n|^2 is beyond the "
+                            f"float range at t = {t!r}"
+                        )
             pa = P.real**2 + P.imag**2  # a^k = |ρ^k|²
             dead = pa < _FLUSH
             pa[dead] = 0.0
@@ -455,7 +471,7 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
         return out
     lams, widths = lams.reshape(-1), np.diff(u.breakpoints)
     if u.values.ndim == 1 or u.per_mode:
-        (acc,) = _horner(lams, widths, u.values, u.per_mode)
+        (acc,) = _horner(lams, widths, u.values)
         return acc
     out = np.empty((lams.size, u.n_channels), dtype=complex)
     for j, v in enumerate(u.values.T):  # one scalar pass per channel
@@ -463,7 +479,7 @@ def mode_integrals(lams, u: PiecewiseSignal) -> np.ndarray:
     return out
 
 
-def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
+def _horner(lams, widths, vals, starts=(0,), cols=None):
     """Yield Σ_k r_k e^{λ s_k} Δ_k h(λΔ_k) for each run of pieces, last run first.
 
     Run i is pieces ``starts[i]`` up to the next start (the last run ends
@@ -484,8 +500,9 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
     it), whichever runs the block spans.
 
     r_k is piece k's value row as one value per mode: v_k for a scalar or a
-    per-mode signal, and Σ_j v_kj b_j for an m-channel signal mixed through
-    the m rows b_j of ``cols`` (m×n), so the accumulator is n long, not n×m.
+    per-mode signal (a 2-D ``vals`` without ``cols``), and Σ_j v_kj b_j for
+    an m-channel signal mixed through the m rows b_j of ``cols`` (m×n), so
+    the accumulator is n long, not n×m.
     The piece weights c_k·r_k of a block are taken as block products (see
     :func:`_horner_rows`), which round as the row products do, so a run's
     bits do not depend on the runs its block happens to span.
@@ -509,6 +526,7 @@ def _horner(lams, widths, vals, per_mode=False, starts=(0,), cols=None):
     the loop's NaN: a dead |1/λ| is below min Δ/36, and the bound
     m·max|v|·max|b|·min Δ/36 must stay far below the float range.
     """
+    per_mode = vals.ndim == 2 and cols is None
     if per_mode and vals.shape[1] != lams.size:
         raise SignalError("per-mode signal does not match the mode count")
     split = len(widths) > len(starts)  # runs of one piece each: nothing to save
@@ -649,43 +667,35 @@ def counterexample_intervals(gammas) -> list[tuple[int, float, float]]:
 
 
 def _phase_search(
-    Gs: np.ndarray, real_field: bool, restarts: int, iters: int, seeds
+    Gs: np.ndarray, restarts: int, iters: int, seeds
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best unimodular v for sqrt(v* G v) on each G of an S×K×K stack of
     positive semidefinite Grams: returns the S best iterates as an S×K array
     and their S values.  One Gram is the stack of one.
 
-    Iterates v ← phase(G v) (sign(Re G v) over the real field), which never
-    decreases the objective, from the all-ones start and seeded random
-    restarts; Gram s draws its starts from ``seeds[s]``, in the order of
-    one restart at a time.  Every restart of every Gram is a column of one S×K×R stack, and
-    an iteration is one product Gs @ V over all of them, so the Python steps
-    are O(iters), not O(S·restarts·iters).  Each (Gram, restart) keeps its
-    own stopping rule, as a mask: a step that gains less than 1e-14 relative
-    is its last, and is taken only if it gains.  The first restart with the
-    best value wins.  Each slice of the stacked product is the 2-D product
-    G @ V bit for bit, so a Gram's result does not depend on the Grams
-    stacked with it.
+    Iterates v ← phase(G v), which never decreases the objective, from the
+    all-ones start and seeded random restarts; Gram s draws its starts from
+    ``seeds[s]``, in the order of one restart at a time.  Every restart of
+    every Gram is a column of one S×K×R stack, and an iteration is one
+    product Gs @ V over all of them, so the Python steps are O(iters), not
+    O(S·restarts·iters).  Each (Gram, restart) keeps its own stopping rule,
+    as a mask: a step that gains less than 1e-14 relative is its last, and
+    is taken only if it gains.  The first restart with the best value wins.
+    Each slice of the stacked product is the 2-D product G @ V bit for bit,
+    so a Gram's result does not depend on the Grams stacked with it.
     """
     S, K = Gs.shape[:2]
     R = max(1, restarts)
     V = np.ones((S, K, R), dtype=complex)
     for s, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        if real_field:
-            starts = [rng.choice([-1.0, 1.0], size=K) for _ in range(R - 1)]
-        else:
-            starts = np.exp(2j * math.pi * rng.random((R - 1, K)))
-        V[s, :, 1:] = np.transpose(starts)
+        V[s, :, 1:] = np.exp(2j * math.pi * rng.random((R - 1, K))).T
     GV = Gs @ V
     cur = _phase_values(V, GV)
     live = np.ones((S, R), dtype=bool)
     for _ in range(max(1, iters)):
-        if real_field:
-            v_new = np.where(GV.real >= 0.0, 1.0, -1.0).astype(complex)
-        else:
-            absg = np.abs(GV)
-            v_new = np.where(absg > 0.0, GV / np.where(absg > 0.0, absg, 1.0), V)
+        absg = np.abs(GV)
+        v_new = np.where(absg > 0.0, GV / np.where(absg > 0.0, absg, 1.0), V)
         g_new = Gs @ v_new
         new = _phase_values(v_new, g_new)
         up = live & (new > cur)

@@ -42,7 +42,6 @@ def worst_case_phases(
     weights,
     mode_coeffs,
     breakpoints=None,
-    real_field: bool = False,
     restarts: int = 8,
     iters: int = 200,
     seed: int = 0,
@@ -62,19 +61,19 @@ def worst_case_phases(
     b = np.asarray(mode_coeffs, dtype=complex)
     M = b[:, None] * E
     G = M.conj().T @ (w[:, None] * M)
-    (best_v,), (best_val,) = _phase_search(G[None], real_field, restarts, iters, [seed])
+    (best_v,), (best_val,) = _phase_search(G[None], restarts, iters, [seed])
     u = None
     if breakpoints is not None:
         u = PiecewiseSignal(breakpoints, best_v, "piecewise")
     return u, float(best_val)
 
 
-def phase_search_loop(G, real_field, restarts, iters, seed):
+def phase_search_loop(G, restarts, iters, seed):
     """The phase search one restart at a time: the best v, its value, and
     every restart's final (v, value).
 
-    Restart 0 starts from all ones, the others from seeded random phases (or
-    signs); each iterates v ← phase(G v) until a step gains less than 1e-14
+    Restart 0 starts from all ones, the others from seeded random phases;
+    each iterates v ← phase(G v) until a step gains less than 1e-14
     relative, and a later restart wins only if it is strictly better.
     """
     K = G.shape[0]
@@ -90,18 +89,13 @@ def phase_search_loop(G, real_field, restarts, iters, seed):
     for trial in range(max(1, restarts)):
         if trial == 0:
             v = np.ones(K, dtype=complex)
-        elif real_field:
-            v = rng.choice([-1.0, 1.0], size=K).astype(complex)
         else:
             v = np.exp(2j * math.pi * rng.random(K))
         cur = value(v)
         for _ in range(max(1, iters)):
             g = G @ v
-            if real_field:
-                v_new = np.where(g.real >= 0.0, 1.0, -1.0).astype(complex)
-            else:
-                absg = np.abs(g)
-                v_new = np.where(absg > 0.0, g / np.where(absg > 0.0, absg, 1.0), v)
+            absg = np.abs(g)
+            v_new = np.where(absg > 0.0, g / np.where(absg > 0.0, absg, 1.0), v)
             new = value(v_new)
             if new <= cur * (1.0 + 1e-14):
                 v = v_new if new > cur else v

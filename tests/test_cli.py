@@ -195,6 +195,17 @@ def test_non_finite_adm_horizon_exits_1_with_a_named_error(
     assert "NaN" not in err
 
 
+def test_the_largest_finite_horizon_exits_0(tmp_path):
+    # Δ² = (t/16)² is beyond the float range; the Gram weights are retaken,
+    # so the report holds a finite lower bound, not a NaN refused at writing
+    scn = _write(tmp_path, "adm.json", {**ADM_SCENARIO, "horizons": [1e308]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["adm", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+    (rep,) = json.loads((tmp_path / "o" / "adm.report.json").read_text())["results"]["reports"]
+    assert 0.0 < rep["lower"] <= rep["upper"] * (1.0 + 1e-9)
+
+
 def test_certificate_violation_exits_2_with_dump(tmp_path, capsys):
     scn = _write(tmp_path, "iss.json", {
         "generator": {"eigenvalues": [[-1.0, 0.0], [-2.0, 0.0]]},

@@ -38,7 +38,7 @@ def _per_channel(kernel, lams, widths, vals, starts):
 def _passes(lams, widths, vals, per_mode, starts, cols, layout):
     """The kernel's run sums and the reference's, for one random pass."""
     if layout != "outer":
-        return (list(_horner(lams, widths, vals, per_mode, starts, cols)),
+        return (list(_horner(lams, widths, vals, starts, cols)),
                 list(horner(lams, widths, vals, per_mode, starts, cols)))
     got = _per_channel(_horner, lams, widths, vals, starts)
     if lams.size == 1:

@@ -22,7 +22,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admlab import signals
-from admlab.admissibility import InputOperator, _chain_lower, input_map, linfty_bounds
+from admlab.admissibility import (
+    AdmissibilityError,
+    AdmissibilityReport,
+    CertificateViolation,
+    InputOperator,
+    _chain_lower,
+    infinite_time_sup,
+    input_map,
+    linfty_bounds,
+)
 from admlab.signals import PiecewiseSignal, _grid_grams, _phase_search
 from admlab.spectral import DiagonalGenerator, space_norm
 from dense_lower import (
@@ -147,13 +156,11 @@ def _gram(rng, K):
     K=st.integers(1, 12),
     restarts=st.sampled_from([1, 2, 8]),
     iters=st.sampled_from([1, 3, 200]),
-    real_field=st.booleans(),
 )
-def test_batched_phase_search_matches_one_restart_at_a_time(
-        seed, K, restarts, iters, real_field):
+def test_batched_phase_search_matches_one_restart_at_a_time(seed, K, restarts, iters):
     G = _gram(np.random.default_rng(seed), K)
-    (v,), (val,) = _phase_search(G[None], real_field, restarts, iters, [seed])
-    v_ref, val_ref, finals = phase_search_loop(G, real_field, restarts, iters, seed)
+    (v,), (val,) = _phase_search(G[None], restarts, iters, [seed])
+    v_ref, val_ref, finals = phase_search_loop(G, restarts, iters, seed)
     assert val == pytest.approx(val_ref, rel=1e-15, abs=0.0)
     # The same winning restart, so the same iterate up to the last step: a
     # final step that gains about one rounding is taken or not by rounding,
@@ -173,23 +180,21 @@ def test_batched_phase_search_matches_one_restart_at_a_time(
     K=st.integers(1, 12),
     restarts=st.sampled_from([1, 2, 8]),
     iters=st.sampled_from([1, 3, 200]),
-    real_field=st.booleans(),
 )
-def test_stacked_phase_search_matches_one_gram_at_a_time(
-        seed, S, K, restarts, iters, real_field):
+def test_stacked_phase_search_matches_one_gram_at_a_time(seed, S, K, restarts, iters):
     # S Grams searched as one stack against each searched alone, with its
     # own seed: the same value and the same winning restart, whose iterate
     # the tie rule of the one-restart-at-a-time reference also accepts
     rng = np.random.default_rng(seed)
     Gs = np.array([_gram(rng, K) for _ in range(S)])
     seeds = [seed + s for s in range(S)]
-    V, vals = _phase_search(Gs, real_field, restarts, iters, seeds)
+    V, vals = _phase_search(Gs, restarts, iters, seeds)
     assert V.shape == (S, K) and vals.shape == (S,)
     for s in range(S):
-        (v,), (val,) = _phase_search(Gs[s : s + 1], real_field, restarts, iters, seeds[s : s + 1])
+        (v,), (val,) = _phase_search(Gs[s : s + 1], restarts, iters, seeds[s : s + 1])
         assert vals[s] == pytest.approx(val, rel=1e-15, abs=0.0)
         np.testing.assert_array_equal(V[s], v)
-        _, val_ref, finals = phase_search_loop(Gs[s], real_field, restarts, iters, seeds[s])
+        _, val_ref, finals = phase_search_loop(Gs[s], restarts, iters, seeds[s])
         tied = [u for u, value in finals if value >= val_ref * (1.0 - 1e-13)]
         assert any(np.allclose(v, u, rtol=0.0, atol=1e-6) for u in tied)
 
@@ -199,16 +204,15 @@ def test_stacked_phase_search_matches_one_gram_at_a_time(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 30),
     K=st.integers(1, 16),
-    real_field=st.booleans(),
 )
-def test_worst_case_phases_witness_is_achievable(seed, n, K, real_field):
+def test_worst_case_phases_witness_is_achievable(seed, n, K):
     rng = np.random.default_rng(seed)
     lams = _spectrum(rng, n)
     edges = np.unique(np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, K))]))
     E = expdiff_matrix(lams, edges)
     w = rng.uniform(0.5, 2.0, n)
     b = _columns(rng, n, 1)[:, 0]
-    u, val = worst_case_phases(E, w, b, breakpoints=edges, real_field=real_field)
+    u, val = worst_case_phases(E, w, b, breakpoints=edges)
     assert np.allclose(np.abs(u.values), 1.0, rtol=0.0, atol=1e-15)
     state = b * (E @ u.values)
     achieved = math.sqrt(float(w @ np.abs(state) ** 2))
@@ -236,7 +240,7 @@ def test_linfty_lower_bound_is_reached_by_its_witness(seed, n, K, m, t):
     rep = linfty_bounds(A, B, t, n_pieces=K)
     j = int(np.argmax(rep.per_column["lower"]))
     grams = _grid_grams(A.eigenvalues, A.weights, B._coefficients(A), t, K)
-    (v,), (value,) = _phase_search(grams[j : j + 1], False, 8, 200, [j])
+    (v,), (value,) = _phase_search(grams[j : j + 1], 8, 200, [j])
     assert value == rep.lower
     assert np.allclose(np.abs(v), 1.0, rtol=0.0, atol=1e-15)
     values = v if m == 0 else v[:, None] * np.eye(m)[j]
@@ -269,9 +273,44 @@ def test_chain_lower_equals_the_greedy_loop_bit_for_bit(seed, n, levels, at_one_
 
 
 def test_exact_ties_go_to_the_first_restart():
-    # every sign vector v gives v* I v = K exactly, so all eight restarts tie
-    G = np.eye(5, dtype=complex)
-    (v,), (val,) = _phase_search(G[None], True, 8, 200, [3])
-    v_ref, val_ref, _ = phase_search_loop(G, True, 8, 200, 3)
-    assert val == val_ref == math.sqrt(5.0)
+    # with G = 0 every v gives v* G v = 0 exactly, so all eight restarts tie
+    G = np.zeros((5, 5), dtype=complex)
+    (v,), (val,) = _phase_search(G[None], 8, 200, [3])
+    v_ref, val_ref, _ = phase_search_loop(G, 8, 200, 3)
+    assert val == val_ref == 0.0
     assert np.array_equal(v, np.ones(5)) and np.array_equal(v_ref, v)
+
+
+def test_a_horizon_past_the_square_range_keeps_a_finite_lower_bound():
+    # at t = 1e308 every mode is dead at Δ = t/16 (Δ² is beyond the float
+    # range), so the Gram is G[0, 0] = Σ_n w_n |b_n/λ_n|² alone
+    lam = np.array([-1.0, -2.0, -3.0 + 4.0j])
+    A, B = DiagonalGenerator(lam), InputOperator.columns([[1.0], [1.0], [1.0]])
+    want = math.sqrt(float(np.sum(np.abs(1.0 / lam) ** 2)))
+    assert want == pytest.approx(1.1357816691600546, rel=1e-15)
+    for t in (1e156, 1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = linfty_bounds(A, B, t)
+        assert rep.lower == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_a_weight_past_the_float_range_is_retaken_or_named():
+    # |b|² is subnormal and Δ² w_n is inf: the sup's small-δ horizon retakes
+    # the weight as w_n |b_n z_n/λ_n|²; a Gram weight that is itself beyond
+    # the float range (|z/λ| is about Δ = 6.25e198) is an AdmissibilityError
+    # naming it, and the upper routes' squares overflow there too
+    A = DiagonalGenerator([-1e-160, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = infinite_time_sup(A, InputOperator.aminus_x0([1.0, 1.0]), "Linf")
+    assert math.isfinite(rep.lower) and rep.lower <= rep.upper
+    with np.errstate(over="ignore"), pytest.raises(AdmissibilityError, match="beyond the float range"):
+        linfty_bounds(DiagonalGenerator([-1e-300]), InputOperator.columns([[1.0]]), 1e200)
+
+
+def test_a_nan_end_is_refused():
+    for lower, upper in ((math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(CertificateViolation):
+            AdmissibilityReport(t=1.0, space="Linf", lower=lower, upper=upper,
+                                route="r", lower_route="l", n_modes=1)

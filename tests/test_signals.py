@@ -1,6 +1,5 @@
 """Piecewise inputs, closed-form mode integrals, and worst-case phase search."""
 
-import itertools
 import math
 import warnings
 
@@ -285,24 +284,6 @@ def test_worst_case_phases_single_mode():
     assert abs(u.values[0]) == pytest.approx(1.0, rel=1e-14)
     _, zero = worst_case_phases(np.zeros((1, 3)), [1.0], [1.0])
     assert zero == 0.0
-
-
-def test_worst_case_phases_real_field_vs_brute_force():
-    lams = np.array([-1.0 + 2.0j, -1.0 - 2.0j])
-    edges = np.linspace(0.0, 1.0, 9)
-    E = _expdiff(lams, edges)
-    w = np.array([0.5, 0.5])
-    b = np.array([1.0 + 0.5j, 1.0 - 0.5j])
-    M = b[:, None] * E
-    brute = 0.0
-    for pattern in itertools.product((-1.0, 1.0), repeat=8):
-        v = np.array(pattern)
-        brute = max(brute, math.sqrt(float(np.sum(w * np.abs(M @ v) ** 2))))
-    _, found = worst_case_phases(E, w, b, real_field=True, restarts=32)
-    assert found <= brute * (1.0 + 1e-12)
-    assert found == pytest.approx(brute, rel=1e-12)
-    _, free = worst_case_phases(E, w, b, restarts=32)
-    assert free >= found - 1e-12
 
 
 def test_random_signal_reproducible_and_bounded():

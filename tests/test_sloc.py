@@ -37,3 +37,14 @@ def g():
 def test_sloc_counts_code_lines_only():
     # import; class; def f; the two-line string; return; def g; x = 1; return
     assert sloc.sloc(SOURCE) == 9
+
+
+def test_defs_count_each_top_level_definition(tmp_path, capsys):
+    # C: class, def f, the two-line string, return; g: def, x = 1, return;
+    # a decorator line counts with its function, a comment line does not
+    assert sloc.def_sloc(SOURCE) == [("C", 5), ("g", 3)]
+    path = tmp_path / "h.py"
+    path.write_text('import functools\n\n\n@functools.cache\n# a comment\ndef h():\n'
+                    '    """Doc."""\n    return 1\n')
+    sloc.main(["--defs", str(path)])
+    assert capsys.readouterr().out == "     3 h\n"

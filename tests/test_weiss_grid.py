@@ -13,7 +13,8 @@ point of the old grid.  Against it:
   for one column and to 1e-14 relative for m >= 2 (``eigvalsh`` rounds);
 * p = 2: the guard count is that of every grid point, and ``value`` the
   larger of their best and ``closed_form``, to 1e-15 relative (the old grid
-  squared distances with ``pow``).
+  squared distances with ``pow`` and took its points in one pass, where the
+  library takes each row in its own product).
 
 Each row bound must dominate every norm evaluated on its row.
 ``test_weiss_property.py`` draws the same comparison over random spectra.
@@ -117,10 +118,14 @@ def test_row_bound_dominates_every_norm_on_its_row(kind, p):
     for n, seed in ((256, 1), (512, 2)):
         A, rng = _bench_system(n, seed)
         B = operator(kind, rng, n)
-        bounds = certify._weiss_row_bounds(A, B, p, re)
+        mag = certify._mode_magnitudes(A, B)
+        bounds = certify._weiss_row_bounds(A, mag, p, re)
         # the diagonal form's norms max_n |lambda_n| / |mu - lambda_n| come
         # from the old code: the library takes that supremum in closed form
-        norms = (_resolvent_norms if kind == "aminus_full" else certify._resolvent_norms)(A, B)
+        if kind == "aminus_full":
+            norms = _resolvent_norms(A, B)
+        else:
+            norms = certify._resolvent_norms(A, B, mag)
         for r, bound in zip(re, bounds):
             dist = np.abs((r + 1j * im)[:, None] - A.eigenvalues[None, :])
             assert np.max(certify._weiss_factor(p, np.full(len(im), r)) * norms(dist)) <= bound
@@ -131,8 +136,8 @@ def test_ray_grid_rows_are_mostly_skipped(p, most, monkeypatch):
     points = []
     resolvent_norms = certify._resolvent_norms
 
-    def counting(A, B):
-        norms = resolvent_norms(A, B)
+    def counting(A, B, mag):
+        norms = resolvent_norms(A, B, mag)
         return lambda dist: points.append(len(dist)) or norms(dist)
 
     monkeypatch.setattr(certify, "_resolvent_norms", counting)
@@ -142,6 +147,18 @@ def test_ray_grid_rows_are_mostly_skipped(p, most, monkeypatch):
     rep = weiss_check(A, InputOperator.aminus_x0(np.arange(1.0, 513.0) ** -3), p)
     rows = (sum(points) - rep.n_candidates) // 51  # a row spans 51 points
     assert rows <= most
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+def test_one_call_takes_the_mode_magnitudes_once(p, monkeypatch):
+    # the closed form, the row bounds and the resolvent norms share one array
+    calls = []
+    mode_magnitudes = certify._mode_magnitudes
+    monkeypatch.setattr(certify, "_mode_magnitudes",
+                        lambda A, B: calls.append(1) or mode_magnitudes(A, B))
+    A, rng = _bench_system(64, 5)
+    assert weiss_check(A, operator("columns2", rng, 64), p).route in ("axis", "plane")
+    assert len(calls) == 1
 
 
 def test_p_that_is_not_a_number_is_named():
